@@ -1,18 +1,43 @@
 //! Minimal offline stand-in for `crossbeam`: an MPMC unbounded channel
-//! (clonable senders *and* receivers) plus a polling `select!` macro
-//! covering the two-arm `recv(..) -> msg => ..` form this workspace uses.
+//! (clonable senders *and* receivers) with blocking, deadline-bounded
+//! and non-blocking receives. Like the real crate, a send with no
+//! receiver parked is free: the channel counts its parked receivers and
+//! skips the wake syscall at zero.
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+    use std::time::{Duration, Instant};
 
     struct Chan<T> {
         queue: Mutex<VecDeque<T>>,
         ready: Condvar,
+        /// Receivers parked on `ready`. Registered under the queue lock
+        /// before parking, so a sender that pushed under that lock (or
+        /// bracketed it) never misses a parked receiver.
+        parked: AtomicUsize,
         senders: AtomicUsize,
         receivers: AtomicUsize,
+    }
+
+    impl<T> Chan<T> {
+        /// Parks on `ready` until notified or `timeout` passes, keeping
+        /// the parked count; `None` waits without a deadline.
+        fn park<'a>(
+            &self,
+            q: MutexGuard<'a, VecDeque<T>>,
+            timeout: Option<Duration>,
+        ) -> MutexGuard<'a, VecDeque<T>> {
+            self.parked.fetch_add(1, Ordering::SeqCst);
+            let q = match timeout {
+                None => self.ready.wait(q).expect("channel poisoned"),
+                Some(t) => self.ready.wait_timeout(q, t).expect("channel poisoned").0,
+            };
+            self.parked.fetch_sub(1, Ordering::SeqCst);
+            q
+        }
     }
 
     /// Sending half of an unbounded MPMC channel.
@@ -52,6 +77,7 @@ pub mod channel {
         let chan = Arc::new(Chan {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
+            parked: AtomicUsize::new(0),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
         });
@@ -67,7 +93,9 @@ pub mod channel {
             let mut q = self.0.queue.lock().expect("channel poisoned");
             q.push_back(value);
             drop(q);
-            self.0.ready.notify_one();
+            if self.0.parked.load(Ordering::SeqCst) > 0 {
+                self.0.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -83,7 +111,14 @@ pub mod channel {
         fn drop(&mut self) {
             if self.0.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
                 // Wake blocked receivers so they observe disconnection.
-                self.0.ready.notify_all();
+                // The sender count is not written under the queue lock,
+                // so bracket the lock between the store and the notify:
+                // a receiver between its count check and its park holds
+                // the lock, and the bracket waits until it is parked.
+                drop(self.0.queue.lock());
+                if self.0.parked.load(Ordering::SeqCst) > 0 {
+                    self.0.ready.notify_all();
+                }
             }
         }
     }
@@ -105,14 +140,14 @@ pub mod channel {
                 if self.0.senders.load(Ordering::SeqCst) == 0 {
                     return Err(RecvError);
                 }
-                q = self.0.ready.wait(q).expect("channel poisoned");
+                q = self.0.park(q, None);
             }
         }
 
         /// Blocks until a message arrives, every sender is gone, or
         /// `deadline` passes — the wait primitive behind the live
         /// runtime's client-side timeout timers.
-        pub fn recv_deadline(&self, deadline: std::time::Instant) -> Result<T, RecvTimeoutError> {
+        pub fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvTimeoutError> {
             let mut q = self.0.queue.lock().expect("channel poisoned");
             loop {
                 if let Some(v) = q.pop_front() {
@@ -121,25 +156,19 @@ pub mod channel {
                 if self.0.senders.load(Ordering::SeqCst) == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
-                let now = std::time::Instant::now();
                 let Some(remaining) = deadline
-                    .checked_duration_since(now)
+                    .checked_duration_since(Instant::now())
                     .filter(|d| !d.is_zero())
                 else {
                     return Err(RecvTimeoutError::Timeout);
                 };
-                let (guard, _timed_out) = self
-                    .0
-                    .ready
-                    .wait_timeout(q, remaining)
-                    .expect("channel poisoned");
-                q = guard;
+                q = self.0.park(q, Some(remaining));
             }
         }
 
         /// [`Receiver::recv_deadline`] with a relative duration.
-        pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<T, RecvTimeoutError> {
-            self.recv_deadline(std::time::Instant::now() + timeout)
+        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+            self.recv_deadline(Instant::now() + timeout)
         }
 
         /// Non-blocking receive.
@@ -162,6 +191,13 @@ pub mod channel {
         /// Whether no messages are queued.
         pub fn is_empty(&self) -> bool {
             self.len() == 0
+        }
+
+        /// Receivers currently parked on this channel (test probe for
+        /// forcing park-then-wake interleavings without sleeps).
+        #[cfg(test)]
+        pub(crate) fn parked_receivers(&self) -> usize {
+            self.0.parked.load(Ordering::SeqCst)
         }
 
         /// Blocking iterator: yields until the channel disconnects.
@@ -208,82 +244,6 @@ pub mod channel {
             self.iter()
         }
     }
-
-    // Re-export the crate-root macro under `crossbeam::channel::select!`,
-    // the path the real crate exposes it at.
-    pub use crate::select;
-}
-
-/// Two-arm `select!` over receivers, implemented by polling, plus an
-/// optional `default(timeout)` arm that fires if neither receiver
-/// yields within the timeout — the subset the workspace uses. The arm
-/// bodies run *outside* the polling loop so `break`/`continue` inside
-/// them bind to the caller's own loops, as with the real macro.
-#[macro_export]
-macro_rules! select {
-    (recv($rx1:expr) -> $msg1:pat => $body1:expr,
-     recv($rx2:expr) -> $msg2:pat => $body2:expr,
-     default($timeout:expr) => $body3:expr $(,)?) => {{
-        enum __Sel<A, B> {
-            A(A),
-            B(B),
-            Default,
-        }
-        let __deadline = std::time::Instant::now() + $timeout;
-        let __fired = loop {
-            match $rx1.try_recv() {
-                Ok(v) => break __Sel::A(Ok(v)),
-                Err($crate::channel::TryRecvError::Disconnected) => {
-                    break __Sel::A(Err($crate::channel::RecvError))
-                }
-                Err($crate::channel::TryRecvError::Empty) => {}
-            }
-            match $rx2.try_recv() {
-                Ok(v) => break __Sel::B(Ok(v)),
-                Err($crate::channel::TryRecvError::Disconnected) => {
-                    break __Sel::B(Err($crate::channel::RecvError))
-                }
-                Err($crate::channel::TryRecvError::Empty) => {}
-            }
-            if std::time::Instant::now() >= __deadline {
-                break __Sel::Default;
-            }
-            std::thread::sleep(std::time::Duration::from_micros(20));
-        };
-        match __fired {
-            __Sel::A($msg1) => $body1,
-            __Sel::B($msg2) => $body2,
-            __Sel::Default => $body3,
-        }
-    }};
-    (recv($rx1:expr) -> $msg1:pat => $body1:expr,
-     recv($rx2:expr) -> $msg2:pat => $body2:expr $(,)?) => {{
-        enum __Sel<A, B> {
-            A(A),
-            B(B),
-        }
-        let __fired = loop {
-            match $rx1.try_recv() {
-                Ok(v) => break __Sel::A(Ok(v)),
-                Err($crate::channel::TryRecvError::Disconnected) => {
-                    break __Sel::A(Err($crate::channel::RecvError))
-                }
-                Err($crate::channel::TryRecvError::Empty) => {}
-            }
-            match $rx2.try_recv() {
-                Ok(v) => break __Sel::B(Ok(v)),
-                Err($crate::channel::TryRecvError::Disconnected) => {
-                    break __Sel::B(Err($crate::channel::RecvError))
-                }
-                Err($crate::channel::TryRecvError::Empty) => {}
-            }
-            std::thread::sleep(std::time::Duration::from_micros(20));
-        };
-        match __fired {
-            __Sel::A($msg1) => $body1,
-            __Sel::B($msg2) => $body2,
-        }
-    }};
 }
 
 #[cfg(test)]
@@ -327,39 +287,73 @@ mod tests {
         );
     }
 
-    #[test]
-    fn select_prefers_ready_arm_and_sees_disconnect() {
+    /// Runs `receive` on a thread, waits until that thread is parked
+    /// inside the channel, then runs `act` on the only sender. The
+    /// interleaving is forced by the parked count, never by a sleep;
+    /// whatever `act` returns stays alive until the receiver reports, so
+    /// a lost send cannot be rescued by a later disconnect wake.
+    fn park_then<R: Send + 'static, K>(
+        receive: impl FnOnce(&super::channel::Receiver<u32>) -> R + Send + 'static,
+        act: impl FnOnce(super::channel::Sender<u32>) -> K,
+    ) -> R {
+        use std::time::Duration;
         let (tx, rx) = unbounded::<u32>();
-        let (_stop_tx, stop_rx) = unbounded::<()>();
-        tx.send(7).unwrap();
-        let got = select! {
-            recv(rx) -> msg => msg.unwrap(),
-            recv(stop_rx) -> _ => unreachable!("stop not signalled"),
-        };
-        assert_eq!(got, 7);
+        let probe = rx.clone();
+        let (out_tx, out_rx) = std::sync::mpsc::channel();
+        let receiver = std::thread::spawn(move || out_tx.send(receive(&rx)).unwrap());
+        while probe.parked_receivers() == 0 {
+            std::thread::yield_now();
+        }
+        let keep = act(tx);
+        // The timeout only turns a lost wakeup into a failure instead of
+        // a hung test run.
+        let got = out_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("parked receiver was never woken");
+        drop(keep);
+        receiver.join().unwrap();
+        assert_eq!(probe.parked_receivers(), 0);
+        got
     }
 
     #[test]
-    fn select_default_fires_on_timeout_and_yields_to_messages() {
+    fn parked_recv_wakes_on_send() {
+        let got = park_then(
+            |rx| rx.recv(),
+            |tx| {
+                tx.send(5).unwrap();
+                tx
+            },
+        );
+        assert_eq!(got, Ok(5));
+    }
+
+    #[test]
+    fn parked_recv_wakes_on_last_sender_drop() {
+        assert_eq!(park_then(|rx| rx.recv(), drop), Err(RecvError));
+    }
+
+    #[test]
+    fn parked_recv_deadline_wakes_on_send() {
         use std::time::{Duration, Instant};
-        let (tx, rx) = unbounded::<u32>();
-        let (_stop_tx, stop_rx) = unbounded::<()>();
-        // Nothing ready: the default arm fires after the timeout.
-        let t0 = Instant::now();
-        let got = select! {
-            recv(rx) -> _ => unreachable!("channel is empty"),
-            recv(stop_rx) -> _ => unreachable!("stop not signalled"),
-            default(Duration::from_millis(5)) => 42u32,
-        };
-        assert_eq!(got, 42);
-        assert!(t0.elapsed() >= Duration::from_millis(5));
-        // A ready message beats the default.
-        tx.send(9).unwrap();
-        let got = select! {
-            recv(rx) -> msg => msg.unwrap(),
-            recv(stop_rx) -> _ => unreachable!("stop not signalled"),
-            default(Duration::from_secs(5)) => unreachable!("message was ready"),
-        };
-        assert_eq!(got, 9);
+        let got = park_then(
+            |rx| rx.recv_deadline(Instant::now() + Duration::from_secs(60)),
+            |tx| {
+                tx.send(6).unwrap();
+                tx
+            },
+        );
+        assert_eq!(got, Ok(6));
+    }
+
+    #[test]
+    fn parked_recv_deadline_wakes_on_last_sender_drop() {
+        use super::channel::RecvTimeoutError;
+        use std::time::{Duration, Instant};
+        let got = park_then(
+            |rx| rx.recv_deadline(Instant::now() + Duration::from_secs(60)),
+            drop,
+        );
+        assert_eq!(got, Err(RecvTimeoutError::Disconnected));
     }
 }

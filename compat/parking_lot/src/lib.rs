@@ -15,6 +15,7 @@ use std::ops::{Deref, DerefMut};
 use std::panic::Location;
 #[cfg(debug_assertions)]
 use std::sync::atomic::AtomicU32;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{
     Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard, RwLock as StdRwLock,
     RwLockReadGuard as StdRwLockReadGuard, RwLockWriteGuard as StdRwLockWriteGuard,
@@ -106,13 +107,25 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 }
 
 /// A condition variable compatible with [`Mutex`].
+///
+/// Like the real `parking_lot`, a notify with nobody parked is free: the
+/// condvar counts its waiters and skips the wake syscall at zero. A
+/// waiter registers while it still holds the mutex, so a notifier that
+/// changed the predicate under that mutex (or bracketed it after the
+/// change) always sees the registration.
 #[derive(Default)]
-pub struct Condvar(StdCondvar);
+pub struct Condvar {
+    inner: StdCondvar,
+    waiters: AtomicUsize,
+}
 
 impl Condvar {
     /// Creates a condition variable.
     pub const fn new() -> Self {
-        Condvar(StdCondvar::new())
+        Condvar {
+            inner: StdCondvar::new(),
+            waiters: AtomicUsize::new(0),
+        }
     }
 
     /// Atomically releases the guard's lock and waits; re-acquires before
@@ -124,23 +137,29 @@ impl Condvar {
         // held-lock stack so cross-lock waits don't fabricate edges.
         #[cfg(debug_assertions)]
         order::release(guard.lock_id);
-        let inner = match self.0.wait(inner) {
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let inner = match self.inner.wait(inner) {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         #[cfg(debug_assertions)]
         order::acquire(guard.lock_id, Location::caller());
         guard.inner = Some(inner);
     }
 
-    /// Wakes one waiter.
+    /// Wakes one waiter, if any is parked.
     pub fn notify_one(&self) {
-        self.0.notify_one();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_one();
+        }
     }
 
-    /// Wakes all waiters.
+    /// Wakes all waiters, if any is parked.
     pub fn notify_all(&self) {
-        self.0.notify_all();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -268,5 +287,87 @@ impl<'a, T: ?Sized> Drop for RwLockWriteGuard<'a, T> {
 impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RwLock").finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{Condvar, Mutex};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    /// The stop-flag pattern: the predicate is an atomic written outside
+    /// the mutex, and the notifier brackets the mutex between the store
+    /// and the notify. A notify issued while the waiter sits between its
+    /// predicate check and its park must still wake it — the waiter
+    /// registers before it releases the mutex, so the bracketed notifier
+    /// cannot see a zero waiter count.
+    #[test]
+    fn notify_between_check_and_park_is_not_lost() {
+        let shared = Arc::new((Mutex::new(()), Condvar::new(), AtomicBool::new(false)));
+        let (checked_tx, checked_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        let waiter = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let (lock, cv, stop) = &*shared;
+                let mut guard = lock.lock();
+                let mut announced = false;
+                while !stop.load(Ordering::SeqCst) {
+                    if !announced {
+                        // Predicate checked, lock still held: the
+                        // notifier now runs its whole sequence while
+                        // this thread is on its way to park.
+                        checked_tx.send(()).unwrap();
+                        announced = true;
+                    }
+                    cv.wait(&mut guard);
+                }
+                done_tx.send(()).unwrap();
+            })
+        };
+        checked_rx.recv().unwrap();
+        let (lock, cv, stop) = &*shared;
+        stop.store(true, Ordering::SeqCst);
+        drop(lock.lock());
+        cv.notify_all();
+        // The timeout only turns a lost wakeup into a failure instead of
+        // a hung test run; the interleaving itself is forced above.
+        assert_eq!(
+            done_rx.recv_timeout(Duration::from_secs(10)),
+            Ok(()),
+            "notify landed between check and park and was lost"
+        );
+        waiter.join().unwrap();
+    }
+
+    /// Notifies with nobody parked skip the wake entirely; the count
+    /// returns to zero after every wait.
+    #[test]
+    fn waiter_count_tracks_parked_threads() {
+        let shared = Arc::new((Mutex::new(false), Condvar::new()));
+        let (lock, cv) = &*shared;
+        cv.notify_one();
+        cv.notify_all();
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+        let waiter = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let (lock, cv) = &*shared;
+                let mut ready = lock.lock();
+                while !*ready {
+                    cv.wait(&mut ready);
+                }
+            })
+        };
+        while cv.waiters.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        *lock.lock() = true;
+        cv.notify_one();
+        waiter.join().unwrap();
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
     }
 }

@@ -130,8 +130,8 @@ pub enum ScenarioError {
         /// What the live backend cannot honor.
         what: String,
     },
-    /// A live `brb-rt` run failed mid-flight (a worker or router thread
-    /// panicked, or the cluster shut down under a waiting task). The
+    /// A live `brb-rt` run failed mid-flight (a worker or controller
+    /// thread panicked, or the cluster shut down under a waiting task). The
     /// run's numbers are unusable; the harness reports the failure typed
     /// instead of hanging or panicking through the cell loop.
     RtRunFailed {

@@ -23,15 +23,19 @@
 //! selector-chosen replica under the sim's gates (no hedging of
 //! requests forecast longer than the delay, ≤5% of dispatches). The
 //! first response wins; the loser is *purged* — its selector slot is
-//! released (`on_abandon`, the PR 5 contract) and an `RtCancel` chases
-//! it to the router, which de-queues it if still queued. An in-service
-//! loser completes and its reply is discarded here, counted as a
-//! duplicate response.
+//! released (`on_abandon`) and it is de-queued from its server's queue
+//! if still waiting there. An in-service loser completes and its reply
+//! is discarded here, counted as a duplicate response.
+//!
+//! Dispatch is a direct enqueue: the client thread runs the server's
+//! admission and pushes into its priority queue
+//! ([`crate::server::ServerShared::enqueue`]); replies come back over a
+//! per-task channel.
 
 use crate::error::RtError;
-use crate::server::RtTimeoutConfig;
+use crate::server::{GlobalShared, RtTimeoutConfig, ServerShared};
 use crate::timing;
-use crate::transport::{RtCancel, RtMessage, RtNack, RtReply, RtRequest, RtResponse};
+use crate::transport::{RtNack, RtReply, RtRequest, RtResponse};
 use brb_sched::overload::DropReason;
 use brb_sched::{PolicyKind, Priority, PriorityPolicy, TaskView};
 use brb_select::{ReplicaSelector, ResponseFeedback, Selection, SelectionCtx};
@@ -137,13 +141,18 @@ fn backoff_ns(tc: &RtTimeoutConfig, attempt: u32) -> u64 {
 }
 
 /// State shared by a client and its tickets (tickets must redispatch
-/// retries through the same selector, budget and senders the client
+/// retries through the same selector, budget and servers the client
 /// uses).
 pub(crate) struct ClientInner {
     ring: Ring,
+    /// Replica servers per group, precomputed so dispatch, hedges and
+    /// retries pass a slice to the selector without allocating.
+    group_replicas: Vec<Vec<ServerId>>,
     cost: CostModel,
     sizes: SizeModel,
-    senders: Vec<Sender<RtMessage>>,
+    servers: Vec<Arc<ServerShared>>,
+    /// The cluster's global queue in `RtQueueMode::Global`.
+    global: Option<Arc<GlobalShared>>,
     selector: SharedSelector,
     epoch: Instant,
     /// Accounted network round trip per request (see
@@ -171,6 +180,22 @@ pub(crate) struct ClientInner {
 }
 
 impl ClientInner {
+    /// Enqueues `req` at `server` and counts the dispatch. A refused
+    /// enqueue (the cluster is down) releases the selector slot the
+    /// selection took and reports why — a panicked thread when the
+    /// cluster saw one.
+    fn dispatch(&self, server: ServerId, req: RtRequest) -> Result<(), RtError> {
+        self.dispatched_total.fetch_add(1, Ordering::Relaxed);
+        let result = self.servers[server.index()].enqueue(self.global.as_deref(), req);
+        if result.is_err() {
+            self.selector.lock().on_abandon(server);
+            if self.panicked.load(Ordering::SeqCst) {
+                return Err(RtError::WorkerPanicked);
+            }
+        }
+        result
+    }
+
     /// Runs the selector over a request's replica group. A rate-limiting
     /// selector (C3) may refuse every candidate; the live client then
     /// waits out the earliest token (bounded per iteration so a clock
@@ -287,6 +312,9 @@ pub struct TaskTicket {
     failure: Option<TaskFailureKind>,
     /// Set once an outcome has been taken (poll path).
     taken: bool,
+    /// A dispatch at submission was refused (the cluster is down); the
+    /// first wait or poll reports it.
+    refused: Option<RtError>,
 }
 
 impl std::fmt::Debug for TaskTicket {
@@ -387,6 +415,9 @@ impl TaskTicket {
     /// backoffs; with `block` it waits (in panic-watchdog slices) until
     /// the task resolves.
     fn advance(&mut self, block: bool) -> Result<(), RtError> {
+        if let Some(e) = self.refused {
+            return Err(e);
+        }
         loop {
             if self.inner.panicked.load(Ordering::SeqCst) {
                 return Err(RtError::WorkerPanicked);
@@ -493,9 +524,8 @@ impl TaskTicket {
     /// Removes every other open attempt of request `i` after `winner`'s
     /// response settled it: each loser's dispatch is balanced with
     /// `on_abandon` here (never again — `on_served`/`on_nack` find no
-    /// open entry for it afterwards), and a cancel chases it to the
-    /// router. A send error means the cluster is shutting down; the
-    /// cancel is then moot, so it is ignored.
+    /// open entry for it afterwards), and it is purged from its server's
+    /// queue if no worker has taken it yet.
     fn purge_losers(&mut self, i: usize, winner: u32) {
         let mut k = 0;
         while k < self.open.len() {
@@ -506,11 +536,7 @@ impl TaskTicket {
             }
             self.open.swap_remove(k);
             self.inner.selector.lock().on_abandon(o.server);
-            let _ = self.inner.senders[o.server.index()].send(RtMessage::Cancel(RtCancel {
-                task_id: self.task_id,
-                req_idx: i as u32,
-                attempt: o.attempt,
-            }));
+            self.inner.servers[o.server.index()].cancel(self.task_id, i as u32, o.attempt);
         }
     }
 
@@ -592,10 +618,9 @@ impl TaskTicket {
         if hedged * 20 >= dispatched {
             return Ok(());
         }
-        let replicas = self.inner.ring.replicas_of_group(self.groups[i]);
         let ctx = SelectionCtx {
             now_ns: self.inner.epoch.elapsed().as_nanos() as u64,
-            candidates: &replicas,
+            candidates: &self.inner.group_replicas[self.groups[i].index()],
             value_bytes: size,
             oracle_queue_depths: None,
         };
@@ -604,26 +629,21 @@ impl TaskTicket {
             Selection::RateLimited { .. } => return Ok(()),
         };
         let tx = self.reply_tx.as_ref().expect("hedge without reply sender");
-        self.inner.dispatched_total.fetch_add(1, Ordering::Relaxed);
         self.inner.hedged_total.fetch_add(1, Ordering::Relaxed);
         // No deadline: the original attempt's timer still owns the
         // slot's timeout; the hedge only races it to a response.
-        let sent = self.inner.senders[server.index()].send(RtMessage::Request(RtRequest {
-            key,
-            priority: self.priorities[i],
-            req_idx: i as u32,
-            task_id: self.task_id,
-            attempt: HEDGE_ATTEMPT,
-            submitted: Instant::now(),
-            reply: tx.clone(),
-        }));
-        if sent.is_err() {
-            return Err(if self.inner.panicked.load(Ordering::SeqCst) {
-                RtError::WorkerPanicked
-            } else {
-                RtError::ClusterDown
-            });
-        }
+        self.inner.dispatch(
+            server,
+            RtRequest {
+                key,
+                priority: self.priorities[i],
+                req_idx: i as u32,
+                task_id: self.task_id,
+                attempt: HEDGE_ATTEMPT,
+                submitted: Instant::now(),
+                reply: tx.clone(),
+            },
+        )?;
         self.open.push(OpenDispatch {
             req_idx: i,
             attempt: HEDGE_ATTEMPT,
@@ -670,10 +690,10 @@ impl TaskTicket {
     /// id is fresh, and the deadline re-arms from this dispatch.
     fn redispatch(&mut self, i: usize, attempt: u32) -> Result<(), RtError> {
         let key = self.keys[i];
-        let replicas = self.inner.ring.replicas_of_group(self.groups[i]);
-        let server = self
-            .inner
-            .select_replica(&replicas, self.inner.sizes.size_of(key));
+        let server = self.inner.select_replica(
+            &self.inner.group_replicas[self.groups[i].index()],
+            self.inner.sizes.size_of(key),
+        );
         let tc = self
             .inner
             .timeout
@@ -683,23 +703,18 @@ impl TaskTicket {
             .as_ref()
             .expect("redispatch without reply sender");
         let now = Instant::now();
-        self.inner.dispatched_total.fetch_add(1, Ordering::Relaxed);
-        let sent = self.inner.senders[server.index()].send(RtMessage::Request(RtRequest {
-            key,
-            priority: self.priorities[i],
-            req_idx: i as u32,
-            task_id: self.task_id,
-            attempt,
-            submitted: now,
-            reply: tx.clone(),
-        }));
-        if sent.is_err() {
-            return Err(if self.inner.panicked.load(Ordering::SeqCst) {
-                RtError::WorkerPanicked
-            } else {
-                RtError::ClusterDown
-            });
-        }
+        self.inner.dispatch(
+            server,
+            RtRequest {
+                key,
+                priority: self.priorities[i],
+                req_idx: i as u32,
+                task_id: self.task_id,
+                attempt,
+                submitted: now,
+                reply: tx.clone(),
+            },
+        )?;
         self.open.push(OpenDispatch {
             req_idx: i,
             attempt,
@@ -809,7 +824,8 @@ impl RtClient {
         cost: CostModel,
         policy: PolicyKind,
         sizes: SizeModel,
-        senders: Vec<Sender<RtMessage>>,
+        servers: Vec<Arc<ServerShared>>,
+        global: Option<Arc<GlobalShared>>,
         task_counter: Arc<AtomicU64>,
         selector: Box<dyn ReplicaSelector + Send>,
         rtt_ns: u64,
@@ -817,12 +833,17 @@ impl RtClient {
         hedge_ns: Option<u64>,
         panicked: Arc<AtomicBool>,
     ) -> RtClient {
+        let group_replicas = (0..ring.num_groups())
+            .map(|g| ring.replicas_of_group(GroupId::new(g as u64)))
+            .collect();
         RtClient {
             inner: Arc::new(ClientInner {
                 ring,
+                group_replicas,
                 cost,
                 sizes,
-                senders,
+                servers,
+                global,
                 selector: Arc::new(Mutex::new(selector)),
                 epoch: Instant::now(),
                 rtt_ns,
@@ -849,7 +870,9 @@ impl RtClient {
     }
 
     /// Submits a batch read and returns a ticket to wait on — lets one
-    /// client keep many tasks in flight (the large fan-out pattern).
+    /// client keep many tasks in flight (the large fan-out pattern). A
+    /// cluster that has shut down refuses the dispatch; the ticket's
+    /// first wait or poll then returns [`RtError::ClusterDown`].
     pub fn fetch_async(&self, keys: &[u64]) -> TaskTicket {
         assert!(!keys.is_empty(), "a task needs at least one key");
         let task_id = self.task_counter.fetch_add(1, Ordering::Relaxed);
@@ -898,23 +921,25 @@ impl RtClient {
             .map(|tc| started + Duration::from_nanos(tc.timeout_ns));
         let mut open = Vec::with_capacity(n);
         let mut hedge_at = vec![None; n];
+        let mut refused = None;
         for (i, &key) in keys.iter().enumerate() {
-            let replicas = self.inner.ring.replicas_of_group(groups[i]);
-            let server = self
-                .inner
-                .select_replica(&replicas, self.inner.sizes.size_of(key));
-            self.inner.dispatched_total.fetch_add(1, Ordering::Relaxed);
-            self.inner.senders[server.index()]
-                .send(RtMessage::Request(RtRequest {
-                    key,
-                    priority: priorities[i],
-                    req_idx: i as u32,
-                    task_id,
-                    attempt: 0,
-                    submitted: started,
-                    reply: tx.clone(),
-                }))
-                .expect("cluster has shut down");
+            let server = self.inner.select_replica(
+                &self.inner.group_replicas[groups[i].index()],
+                self.inner.sizes.size_of(key),
+            );
+            let request = RtRequest {
+                key,
+                priority: priorities[i],
+                req_idx: i as u32,
+                task_id,
+                attempt: 0,
+                submitted: started,
+                reply: tx.clone(),
+            };
+            if let Err(e) = self.inner.dispatch(server, request) {
+                refused = Some(e);
+                break;
+            }
             open.push(OpenDispatch {
                 req_idx: i,
                 attempt: 0,
@@ -956,6 +981,7 @@ impl RtClient {
             retries: 0,
             failure: None,
             taken: false,
+            refused,
         }
     }
 

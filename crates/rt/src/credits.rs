@@ -3,10 +3,11 @@
 //! The simulator and the runtime share ONE credits implementation —
 //! [`brb_sched::CreditController`] / [`brb_sched::CreditBucket`] — with
 //! two clocks. Here the controller runs as its own thread: clients send
-//! [`CreditMsg::Demand`] reports and routers send
-//! [`CreditMsg::Congestion`] signals over a channel; every adaptation
-//! interval the thread runs one `allocate_into` epoch and publishes the
-//! grant table on a shared [`GrantBoard`]. Clients poll the board's
+//! [`CreditMsg::Demand`] reports and server admission sends
+//! [`CreditMsg::Congestion`] signals over a channel; the thread parks in
+//! `recv_deadline` until a message or its next adaptation epoch, runs
+//! one `allocate_into` per epoch and publishes the grant table on a
+//! shared [`GrantBoard`]. Clients poll the board's
 //! epoch counter on their dispatch path (one atomic load when nothing
 //! changed) and enforce their grants with per-server token buckets,
 //! exactly as the sim engine does.
@@ -29,7 +30,7 @@ use crate::timing;
 use brb_sched::{CreditBucket, CreditController, CreditsConfig, GrantTable};
 use brb_select::{ReplicaSelector, ResponseFeedback, Selection, SelectionCtx};
 use brb_store::ids::{ClientId, ServerId};
-use crossbeam::channel::{select, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -40,7 +41,7 @@ use std::time::{Duration, Instant};
 /// Credits tuning for the live runtime: the shared controller config
 /// plus the two cluster-level numbers the sim derives from its own
 /// config — per-server capacity (grants are shares of it) and the queue
-/// depth at which a router raises a congestion signal.
+/// depth at which admission raises a congestion signal.
 #[derive(Debug, Clone, Copy)]
 pub struct RtCreditsConfig {
     /// Controller tuning (intervals, AIMD constants, burst).
@@ -48,8 +49,8 @@ pub struct RtCreditsConfig {
     /// Full capacity of each server, requests/second (the sim's
     /// `server_capacity_rps()`).
     pub server_capacity_rps: f64,
-    /// Router queue depth at/above which an arrival counts as congested
-    /// (the sim's `congestion_queue_threshold`).
+    /// Queue depth at admission at/above which an arrival counts as
+    /// congested (the sim's `congestion_queue_threshold`).
     pub congestion_queue_threshold: usize,
 }
 
@@ -76,11 +77,14 @@ pub(crate) enum CreditMsg {
         /// `(server index, rate_rps)` pairs, only servers with demand.
         rates: Vec<(u32, f64)>,
     },
-    /// A router observed congestion at its server.
+    /// Admission observed congestion at a server.
     Congestion {
         /// Congested server index.
         server: u32,
     },
+    /// Cluster shutdown: the thread exits even though clients may still
+    /// hold senders.
+    Stop,
 }
 
 /// The published allocation: grant table plus an epoch counter so
@@ -112,13 +116,12 @@ pub(crate) struct CreditsHub {
 
 /// Spawns the controller thread. It adapts every
 /// `adaptation_interval_ns`, publishing each epoch's grants on the
-/// board, and exits when `stop_rx` disconnects (cluster shutdown) — not
-/// when the message channel drains, because clients may outlive the
+/// board, and exits on [`CreditMsg::Stop`] (cluster shutdown) — not
+/// only when every sender is gone, because clients may outlive the
 /// cluster handle and still hold senders.
 pub(crate) fn spawn_controller(
     cfg: RtCreditsConfig,
     num_servers: usize,
-    stop_rx: Receiver<()>,
     panicked: Arc<AtomicBool>,
 ) -> (CreditsHub, JoinHandle<()>) {
     let (tx, rx) = unbounded();
@@ -140,7 +143,6 @@ pub(crate) fn spawn_controller(
                     cfg,
                     num_servers,
                     &rx,
-                    &stop_rx,
                     &board,
                     &demand_reports,
                     &congestion_signals,
@@ -158,7 +160,6 @@ fn controller_loop(
     cfg: RtCreditsConfig,
     num_servers: usize,
     rx: &Receiver<CreditMsg>,
-    stop_rx: &Receiver<()>,
     board: &GrantBoard,
     demand_reports: &AtomicU64,
     congestion_signals: &AtomicU64,
@@ -171,24 +172,21 @@ fn controller_loop(
     let interval = Duration::from_nanos(cfg.config.adaptation_interval_ns);
     let mut next_epoch = Instant::now() + interval;
     loop {
-        select! {
-            recv(rx) -> msg => match msg {
-                Ok(CreditMsg::Demand { client, rates }) => {
-                    demand_reports.fetch_add(1, Ordering::Relaxed);
-                    for (server, rate) in rates {
-                        controller.report_demand(client, ServerId::new(server as u64), rate);
-                    }
+        match rx.recv_deadline(next_epoch) {
+            Ok(CreditMsg::Demand { client, rates }) => {
+                demand_reports.fetch_add(1, Ordering::Relaxed);
+                for (server, rate) in rates {
+                    controller.report_demand(client, ServerId::new(server as u64), rate);
                 }
-                Ok(CreditMsg::Congestion { server }) => {
-                    congestion_signals.fetch_add(1, Ordering::Relaxed);
-                    controller.signal_congestion(ServerId::new(server as u64));
-                }
-                // All senders gone: the cluster and every client are
-                // dropped; nothing left to serve.
-                Err(_) => break,
-            },
-            recv(stop_rx) -> _ => break,
-            default(next_epoch.saturating_duration_since(Instant::now())) => {
+            }
+            Ok(CreditMsg::Congestion { server }) => {
+                congestion_signals.fetch_add(1, Ordering::Relaxed);
+                controller.signal_congestion(ServerId::new(server as u64));
+            }
+            // Shutdown, or every sender gone (the cluster and every
+            // client dropped): nothing left to serve.
+            Ok(CreditMsg::Stop) | Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {
                 controller.allocate_into(&mut table);
                 {
                     let mut published = board.grants.lock();
@@ -445,9 +443,8 @@ mod tests {
 
     #[test]
     fn controller_thread_adapts_and_publishes_grants() {
-        let (_stop_tx, stop_rx) = unbounded::<()>();
         let panicked = Arc::new(AtomicBool::new(false));
-        let (hub, handle) = spawn_controller(test_cfg(5), 2, stop_rx, Arc::clone(&panicked));
+        let (hub, handle) = spawn_controller(test_cfg(5), 2, Arc::clone(&panicked));
         hub.tx
             .send(CreditMsg::Demand {
                 client: ClientId::new(0),
@@ -473,10 +470,10 @@ mod tests {
         }
         assert_eq!(hub.demand_reports.load(Ordering::Relaxed), 1);
         assert_eq!(hub.congestion_signals.load(Ordering::Relaxed), 1);
-        // Dropping the stop channel ends the thread even though `hub`
-        // (and its sender) is still alive — the client-outlives-cluster
-        // shutdown path.
-        drop(_stop_tx);
+        // A stop message ends the thread even though `hub` (and its
+        // sender) is still alive — the client-outlives-cluster shutdown
+        // path.
+        hub.tx.send(CreditMsg::Stop).unwrap();
         handle.join().unwrap();
         assert!(!panicked.load(Ordering::Acquire));
     }

@@ -12,12 +12,12 @@ use std::fmt;
 /// A live-runtime run failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RtError {
-    /// A server worker or router thread panicked mid-run. The cluster's
+    /// A server worker or the credits controller thread panicked mid-run. The cluster's
     /// panic flag is sticky: every in-flight and subsequent wait fails
     /// fast instead of blocking on replies that will never arrive.
     WorkerPanicked,
-    /// The cluster's channels disconnected (shutdown or thread death)
-    /// before the task resolved.
+    /// The cluster shut down (or its reply channels disconnected) before
+    /// the task resolved, or refused a dispatch after shutdown.
     ClusterDown,
 }
 
@@ -25,7 +25,7 @@ impl fmt::Display for RtError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RtError::WorkerPanicked => {
-                write!(f, "a live worker or router thread panicked mid-run")
+                write!(f, "a live worker or controller thread panicked mid-run")
             }
             RtError::ClusterDown => {
                 write!(f, "the live cluster shut down before the task resolved")

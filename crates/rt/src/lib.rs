@@ -3,10 +3,10 @@
 //! The simulation crates validate the algorithms; this crate is the
 //! *adoptable implementation*: an in-process, multi-threaded storage
 //! cluster with BRB task-aware scheduling, following the event-driven,
-//! message-passing style of the networking guides (crossbeam channels for
-//! requests/responses, a condvar-guarded stable priority queue per server,
-//! no blocking on hot paths beyond the queue itself, zero-copy reads via
-//! `bytes::Bytes`).
+//! message-passing style of the networking guides (clients enqueue
+//! requests straight into a condvar-guarded stable priority queue per
+//! server, responses return over crossbeam channels, no blocking on hot
+//! paths beyond the queue itself, zero-copy reads via `bytes::Bytes`).
 //!
 //! Measurement discipline (see `crates/rt/README.md`):
 //!
@@ -28,7 +28,7 @@
 //! timers with budgeted capped-exponential retries ([`RtTimeoutConfig`]),
 //! and typed task outcomes ([`TaskOutcome`]) under the conservation
 //! contract `completed + dropped + timed_out + shed == issued`. Worker
-//! and router threads are panic-guarded: a thread that dies mid-run
+//! and controller threads are panic-guarded: a thread that dies mid-run
 //! trips a sticky flag and every wait fails fast with a typed
 //! [`RtError`] instead of hanging the harness.
 //!
@@ -40,8 +40,8 @@
 //! cross-server queue runs live as a work-pull global queue
 //! ([`RtQueueMode::Global`]); and hedged requests
 //! ([`RtClusterConfig::hedge_delay_ns`]) duplicate stragglers with
-//! first-response-wins and duplicate-aware cancellation over
-//! [`RtCancel`] control messages.
+//! first-response-wins and duplicate-aware cancellation that purges a
+//! still-queued loser from its server's queue.
 //!
 //! ```
 //! use brb_rt::{RtClusterConfig, RtCluster, WorkModel};
@@ -79,4 +79,4 @@ pub use loadgen::{run_load, try_run_load, LoadGenConfig, LoadMode, LoadReport};
 pub use server::{
     RtCluster, RtClusterConfig, RtQueueConfig, RtQueueMode, RtTimeoutConfig, SpikeModel, WorkModel,
 };
-pub use transport::{RtCancel, RtMessage, RtNack, RtReply, RtRequest, RtResponse};
+pub use transport::{RtNack, RtReply, RtRequest, RtResponse};

@@ -131,7 +131,7 @@ pub struct LoadReport {
     /// Demand reports the credits controller consumed during the run (0
     /// without a credits lane).
     pub demand_reports: u64,
-    /// Congestion signals routers raised during the run (0 without a
+    /// Congestion signals admission raised during the run (0 without a
     /// credits lane).
     pub congestion_signals: u64,
 }

@@ -4,35 +4,39 @@
 //! condvar-guarded *stable* priority queue and `workers_per_server` OS
 //! threads that pull the most urgent request, read the value, optionally
 //! simulate a size-proportional service cost and reply over the request's
-//! channel.
+//! channel. Clients enqueue straight into that queue on their own thread
+//! ([`ServerShared::enqueue`]), so a request crosses one thread hop —
+//! client to worker — and its priority takes effect on arrival.
 //!
-//! The overload lane runs on real queues: the router applies the
-//! configured [`QueueBound`] at admission (tail-drop at capacity, shed
-//! at the watermark) and workers feed a [`CoDel`] controller with each
-//! dequeued request's *measured* sojourn time — drops and sheds NACK
-//! back over the transport as typed [`RtNack`] replies instead of
-//! silently growing the queue.
+//! The overload lane runs on real queues: admission applies the
+//! configured [`QueueBound`] under the queue lock (tail-drop at
+//! capacity, shed at the watermark) and workers feed a [`CoDel`]
+//! controller with each dequeued request's *measured* sojourn time —
+//! drops and sheds NACK back over the transport as typed [`RtNack`]
+//! replies instead of silently growing the queue.
 //!
 //! Two further lanes complete the figure-2 strategy set natively:
 //!
 //! * **Credits** ([`crate::credits`]): a controller thread adapts grant
-//!   allocations from live demand reports and router-raised congestion
-//!   signals; clients gate dispatch through token buckets. The router
-//!   detects congestion exactly as the sim server does — queue depth at
-//!   arrival against the threshold, plus an arrival-rate window.
+//!   allocations from live demand reports and admission-raised
+//!   congestion signals; clients gate dispatch through token buckets.
+//!   Admission detects congestion exactly as the sim server does —
+//!   queue depth at arrival against the threshold, plus an arrival-rate
+//!   window.
 //! * **Model** ([`RtQueueMode::Global`]): one [`GlobalQueue`] shared by
 //!   every server; idle workers pull the highest-priority request their
 //!   replica constraint allows — the paper's unrealizable ideal, made
 //!   "realizable" here only because the cluster is in-process.
 //!
-//! Routers also honor [`crate::transport::RtCancel`]: a hedged request
-//! whose twin already won is removed from the queue in place (O(n),
-//! cold path), so duplicate work is bounded by in-service requests.
+//! Hedged requests whose twin already won are purged from the queue in
+//! place ([`ServerShared::cancel`], O(n), cold path), so duplicate work
+//! is bounded by in-service requests.
 
 use crate::client::RtClient;
 use crate::credits::{self, CreditMsg, CreditSelector, CreditsHub, RtCreditsConfig};
+use crate::error::RtError;
 use crate::timing;
-use crate::transport::{RtMessage, RtNack, RtReply, RtRequest, RtResponse};
+use crate::transport::{RtNack, RtReply, RtRequest, RtResponse};
 use brb_sched::overload::{CoDel, CoDelConfig, DropReason, EnqueueOutcome, QueueBound};
 use brb_sched::{GlobalQueue, PolicyKind, PriorityQueue, RequestQueue};
 use brb_select::{ReplicaSelector, SelectorSpec};
@@ -43,7 +47,7 @@ use brb_store::service::{ServiceModel, ServiceNoise};
 use brb_store::ShardedStore;
 use brb_workload::taskgen::SizeModel;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::Sender;
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -83,8 +87,8 @@ pub enum RtQueueMode {
 /// Bounded-queue knobs for every live server queue (the overload lane).
 #[derive(Debug, Clone, Copy)]
 pub struct RtQueueConfig {
-    /// Tail-drop capacity and optional shed watermark, applied by the
-    /// router at admission against the queue-length mirror.
+    /// Tail-drop capacity and optional shed watermark, applied at
+    /// admission against the queue length.
     pub bound: QueueBound,
     /// CoDel AQM at dequeue (`None` disables it), driven by measured
     /// sojourn timestamps (enqueue `Instant` → dequeue `Instant`).
@@ -237,17 +241,23 @@ pub(crate) struct ServerQueue {
 
 /// Shared state of one server.
 pub(crate) struct ServerShared {
+    /// This server's index.
+    pub(crate) id: u32,
     pub(crate) queue: Mutex<ServerQueue>,
     pub(crate) available: Condvar,
-    /// Queue length mirror maintained by router push / worker pop, so
-    /// the piggybacked feedback read (and bounded admission) costs no
-    /// queue lock.
+    /// Queue length mirror, written under the queue lock and read
+    /// without it, so the piggybacked feedback read costs no queue lock.
     pub(crate) queue_len: AtomicUsize,
-    /// Admission bound, applied by the router (`None` = unbounded).
+    /// Admission bound (`None` = unbounded).
     pub(crate) bound: Option<QueueBound>,
+    /// Credits-lane congestion detection (`None` without credits). Its
+    /// own lock, never held together with the queue lock.
+    congestion: Option<Mutex<CongestionMonitor>>,
     /// Time base for the CoDel controller's `now_ns`.
     pub(crate) epoch: Instant,
     pub(crate) store: ShardedStore,
+    /// Set by shutdown; admission checks it under the queue lock, so no
+    /// request can enter a queue whose workers are leaving.
     pub(crate) stop: AtomicBool,
     pub(crate) served: AtomicU64,
     /// Requests tail-dropped at capacity or CoDel-dropped at dequeue.
@@ -256,6 +266,138 @@ pub(crate) struct ServerShared {
     pub(crate) shed: AtomicU64,
     /// Total nanoseconds workers spent in service (utilization).
     pub(crate) busy_ns: AtomicU64,
+}
+
+impl ServerShared {
+    fn new(id: u32, config: &RtClusterConfig, congestion: Option<CongestionMonitor>) -> Self {
+        ServerShared {
+            id,
+            queue: Mutex::new(ServerQueue {
+                pq: PriorityQueue::new(),
+                codel: config.queue.and_then(|q| q.codel).map(CoDel::new),
+            }),
+            available: Condvar::new(),
+            queue_len: AtomicUsize::new(0),
+            bound: config.queue.map(|q| q.bound),
+            congestion: congestion.map(Mutex::new),
+            epoch: Instant::now(),
+            store: ShardedStore::new(config.store_shards),
+            stop: AtomicBool::new(false),
+            served: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            busy_ns: AtomicU64::new(0),
+        }
+    }
+
+    /// Admits `req` on the caller's thread: congestion detection, then
+    /// the bounded-admission check and the push into the stable priority
+    /// queue (the server's own, or the cluster's global queue) under the
+    /// queue lock, so the priority takes effect the moment the request
+    /// arrives. A dropped or shed request is NACKed on its reply channel
+    /// after the lock is released. Returns [`RtError::ClusterDown`] once
+    /// the cluster has shut down: the stop flag is read under the queue
+    /// lock, so the request is refused rather than stranded.
+    pub(crate) fn enqueue(
+        &self,
+        global: Option<&GlobalShared>,
+        req: RtRequest,
+    ) -> Result<(), RtError> {
+        if let Some(monitor) = &self.congestion {
+            // The same length feedback responses piggyback; global mode
+            // watches the cluster-wide backlog.
+            let len = match global {
+                Some(g) => g.queue_len.load(Ordering::Relaxed),
+                None => self.queue_len.load(Ordering::Relaxed),
+            };
+            monitor.lock().on_arrival(self.id, len);
+        }
+        let refused = match global {
+            None => {
+                let mut q = self.queue.lock();
+                if self.stop.load(Ordering::SeqCst) {
+                    return Err(RtError::ClusterDown);
+                }
+                match self.admit(q.pq.len()) {
+                    Some(reason) => Some((req, reason)),
+                    None => {
+                        q.pq.push(
+                            req.priority,
+                            Queued {
+                                req,
+                                enqueued: Instant::now(),
+                            },
+                        );
+                        self.queue_len.fetch_add(1, Ordering::Relaxed);
+                        drop(q);
+                        self.available.notify_one();
+                        None
+                    }
+                }
+            }
+            Some(g) => {
+                let mut q = g.queue.lock();
+                if self.stop.load(Ordering::SeqCst) {
+                    return Err(RtError::ClusterDown);
+                }
+                match self.admit(q.gq.len()) {
+                    Some(reason) => Some((req, reason)),
+                    None => {
+                        q.gq.push(
+                            g.ring.group_of_key(req.key),
+                            req.priority,
+                            Queued {
+                                req,
+                                enqueued: Instant::now(),
+                            },
+                        );
+                        g.queue_len.fetch_add(1, Ordering::Relaxed);
+                        drop(q);
+                        // notify_all, not notify_one: a single wake could
+                        // land on a worker outside this group's replica
+                        // set, which would re-park and strand the request.
+                        g.available.notify_all();
+                        None
+                    }
+                }
+            }
+        };
+        if let Some((req, reason)) = refused {
+            send_nack(self.id, &req, reason);
+        }
+        Ok(())
+    }
+
+    /// The bounded-admission verdict for a queue holding `len` requests:
+    /// `Some(reason)` refuses (and counts) the arrival.
+    fn admit(&self, len: usize) -> Option<DropReason> {
+        let EnqueueOutcome::Dropped(reason) = self.bound?.admit(len) else {
+            return None;
+        };
+        let counter = match reason {
+            DropReason::Shed => &self.shed,
+            DropReason::QueueFull | DropReason::Sojourn => &self.dropped,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Some(reason)
+    }
+
+    /// Purges the still-queued attempt `(task_id, req_idx, attempt)` —
+    /// the losing twin of a hedged pair. The client enqueued it on its
+    /// own thread before cancelling, so a miss just means a worker got
+    /// there first. Hedging never lowers to global mode, so only the
+    /// server's own queue is searched.
+    pub(crate) fn cancel(&self, task_id: u64, req_idx: u32, attempt: u32) {
+        let mut q = self.queue.lock();
+        let removed = q.pq.retain(|queued| {
+            !(queued.req.task_id == task_id
+                && queued.req.req_idx == req_idx
+                && queued.req.attempt == attempt)
+        });
+        if removed > 0 {
+            self.queue_len.fetch_sub(removed, Ordering::Relaxed);
+        }
+    }
 }
 
 /// The model realization's single work-pull queue, shared by every
@@ -279,8 +421,8 @@ pub(crate) struct GlobalShared {
     pub(crate) epoch: Instant,
 }
 
-/// Router-side congestion detection for the credits lane, mirroring the
-/// sim server's two triggers: queue depth at arrival ≥ threshold, and a
+/// Admission-side congestion detection for the credits lane, mirroring
+/// the sim server's two triggers: queue depth at arrival ≥ threshold, and a
 /// windowed arrival rate above capacity. Signals are rate-limited to
 /// one per measurement interval, as in the sim.
 struct CongestionMonitor {
@@ -343,14 +485,10 @@ pub struct RtCluster {
     /// Credits lane state when `credits` is configured, else `None`.
     credits: Option<CreditsHub>,
     credits_thread: Option<JoinHandle<()>>,
-    senders: Vec<Sender<RtMessage>>,
     workers: Vec<JoinHandle<()>>,
-    routers: Vec<JoinHandle<()>>,
-    /// Dropped on shutdown to stop routers even while clients still hold
-    /// cloned request senders.
-    stop_tx: Option<Sender<()>>,
-    /// Sticky flag set when any worker or router thread panics; clients
-    /// poll it so a dead thread fails runs fast instead of hanging them.
+    /// Sticky flag set when any worker or controller thread panics;
+    /// clients poll it so a dead thread fails runs fast instead of
+    /// hanging them.
     panicked: Arc<AtomicBool>,
     next_task_id: Arc<AtomicU64>,
     next_client_id: AtomicU64,
@@ -365,8 +503,8 @@ impl std::fmt::Debug for RtCluster {
 }
 
 impl RtCluster {
-    /// Starts the cluster: spawns one router and `workers_per_server`
-    /// worker threads per server.
+    /// Starts the cluster: spawns `workers_per_server` worker threads
+    /// per server, plus the credits controller thread when configured.
     ///
     /// # Panics
     /// Panics on a structurally invalid configuration.
@@ -416,10 +554,7 @@ impl RtCluster {
         let cost = CostModel::new(service, config.forecast);
 
         let mut servers = Vec::with_capacity(config.num_servers as usize);
-        let mut senders = Vec::with_capacity(config.num_servers as usize);
         let mut workers = Vec::new();
-        let mut routers = Vec::new();
-        let (stop_tx, stop_rx) = unbounded::<()>();
         let panicked = Arc::new(AtomicBool::new(false));
 
         let global = match config.queue_mode {
@@ -441,7 +576,6 @@ impl RtCluster {
                 let (hub, handle) = credits::spawn_controller(
                     cfg,
                     config.num_servers as usize,
-                    stop_rx.clone(),
                     Arc::clone(&panicked),
                 );
                 (Some(hub), Some(handle))
@@ -450,75 +584,11 @@ impl RtCluster {
         };
 
         for s in 0..config.num_servers {
-            let shared = Arc::new(ServerShared {
-                queue: Mutex::new(ServerQueue {
-                    pq: PriorityQueue::new(),
-                    codel: config.queue.and_then(|q| q.codel).map(CoDel::new),
-                }),
-                available: Condvar::new(),
-                queue_len: AtomicUsize::new(0),
-                bound: config.queue.map(|q| q.bound),
-                epoch: Instant::now(),
-                store: ShardedStore::new(config.store_shards),
-                stop: AtomicBool::new(false),
-                served: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-                shed: AtomicU64::new(0),
-                busy_ns: AtomicU64::new(0),
-            });
-            let (tx, rx): (Sender<RtMessage>, Receiver<RtMessage>) = unbounded();
-
-            // Router: drains the channel into the priority queue so that
-            // priorities take effect the moment requests arrive, not in
-            // channel FIFO order — and applies bounded admission there,
-            // NACKing drops/sheds back before they ever consume queue
-            // space. Exits when the cluster's stop channel closes
-            // (clients may still hold request senders then).
-            {
-                let shared = Arc::clone(&shared);
-                let global = global.clone();
-                let stop_rx = stop_rx.clone();
-                let panicked = Arc::clone(&panicked);
-                let congestion = credits_hub.as_ref().map(CongestionMonitor::new);
-                routers.push(
-                    std::thread::Builder::new()
-                        .name(format!("brb-router-{s}"))
-                        .spawn(move || {
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    router_loop(
-                                        s,
-                                        &shared,
-                                        global.as_deref(),
-                                        &rx,
-                                        &stop_rx,
-                                        congestion,
-                                    )
-                                }));
-                            // Wake workers so they observe the stop flag.
-                            // The queue lock MUST be taken between the
-                            // store and the notify: a worker that checked
-                            // `stop` and is about to park holds it, so
-                            // locking here blocks until the worker is
-                            // actually parked — otherwise the notify can
-                            // land in that window and be lost forever
-                            // (lost-wakeup deadlock; the stop flag is the
-                            // one predicate not written under the mutex).
-                            shared.stop.store(true, Ordering::SeqCst);
-                            drop(shared.queue.lock());
-                            shared.available.notify_all();
-                            if let Some(g) = &global {
-                                drop(g.queue.lock());
-                                g.available.notify_all();
-                            }
-                            if result.is_err() {
-                                panicked.store(true, Ordering::SeqCst);
-                            }
-                        })
-                        .expect("spawn router"),
-                );
-            }
-
+            let shared = Arc::new(ServerShared::new(
+                s,
+                &config,
+                credits_hub.as_ref().map(CongestionMonitor::new),
+            ));
             let speed = config.speed_factors.get(s as usize).copied().unwrap_or(1.0);
             for w in 0..config.workers_per_server {
                 let shared = Arc::clone(&shared);
@@ -537,7 +607,6 @@ impl RtCluster {
                             let result =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                     worker_loop(
-                                        s,
                                         &shared,
                                         global.as_deref(),
                                         work,
@@ -552,21 +621,14 @@ impl RtCluster {
                                 // Wake sibling workers parked on the
                                 // condvar so a fully-dead server cannot
                                 // strand them (lock bracket for the same
-                                // lost-wakeup reason as the router exit).
-                                drop(shared.queue.lock());
-                                shared.available.notify_all();
-                                if let Some(g) = &global {
-                                    drop(g.queue.lock());
-                                    g.available.notify_all();
-                                }
+                                // lost-wakeup reason as shutdown).
+                                wake_workers(&shared, global.as_deref());
                             }
                         })
                         .expect("spawn worker"),
                 );
             }
-
             servers.push(shared);
-            senders.push(tx);
         }
 
         RtCluster {
@@ -577,10 +639,7 @@ impl RtCluster {
             global,
             credits: credits_hub,
             credits_thread,
-            senders,
             workers,
-            routers,
-            stop_tx: Some(stop_tx),
             panicked,
             next_task_id: Arc::new(AtomicU64::new(0)),
             next_client_id: AtomicU64::new(0),
@@ -589,11 +648,17 @@ impl RtCluster {
 
     /// Populates every replica with `num_keys` keys; the value of key `k`
     /// is a zero-filled buffer of `size_of(k)` bytes, stored on exactly
-    /// the `R` servers that replicate `k`.
+    /// the `R` servers that replicate `k`. All values are slices of one
+    /// shared zeroed buffer, so the store's footprint does not grow with
+    /// the total value bytes.
     pub fn populate<F: Fn(u64) -> u64>(&self, num_keys: u64, size_of: F) {
+        let mut zeros = Bytes::new();
         for key in 0..num_keys {
             let size = size_of(key).max(1) as usize;
-            let value = Bytes::from(vec![0u8; size]);
+            if size > zeros.len() {
+                zeros = Bytes::from(vec![0u8; size.next_power_of_two()]);
+            }
+            let value = zeros.slice(..size);
             for server in self.ring.replicas_of_key(key) {
                 self.servers[server.index()].store.put(key, value.clone());
             }
@@ -648,7 +713,8 @@ impl RtCluster {
             self.cost,
             self.config.policy,
             self.config.sizes,
-            self.senders.clone(),
+            self.servers.clone(),
+            self.global.clone(),
             Arc::clone(&self.next_task_id),
             selector,
             self.config.network_rtt_ns,
@@ -706,7 +772,7 @@ impl RtCluster {
             .map_or(0, |h| h.congestion_signals.load(Ordering::Relaxed))
     }
 
-    /// Whether any worker or router thread has panicked.
+    /// Whether any worker or controller thread has panicked.
     pub fn panicked(&self) -> bool {
         self.panicked.load(Ordering::SeqCst)
     }
@@ -727,50 +793,12 @@ impl RtCluster {
     }
 
     /// Stops all threads and joins them, reporting a panicked thread as
-    /// a typed error instead of a harness panic. Callers should drain
-    /// their tasks first: requests still queued when shutdown starts are
-    /// dropped.
-    pub fn shutdown_checked(mut self) -> Result<(), crate::error::RtError> {
-        // Closing the stop channel ends the routers and the credits
-        // controller (even if clients still hold request senders);
-        // routers set stop and wake workers.
-        drop(self.stop_tx.take());
-        drop(self.senders);
-        for r in self.routers {
-            // The catch_unwind wrapper makes join errors impossible in
-            // practice; a failed join still counts as a panic.
-            if r.join().is_err() {
-                self.panicked.store(true, Ordering::SeqCst);
-            }
-        }
-        if let Some(h) = self.credits_thread.take() {
-            if h.join().is_err() {
-                self.panicked.store(true, Ordering::SeqCst);
-            }
-        }
-        for s in &self.servers {
-            s.stop.store(true, Ordering::SeqCst);
-            // Lock bracket between store and notify: a worker between its
-            // `stop` check and the park holds the queue lock, so locking
-            // here waits until it is parked — without it the notify can
-            // be lost and the worker parks forever (observed as a hung
-            // join on a loaded single-CPU host).
-            drop(s.queue.lock());
-            s.available.notify_all();
-        }
-        // Global-mode workers park on the shared condvar, not their
-        // server's.
-        if let Some(g) = &self.global {
-            drop(g.queue.lock());
-            g.available.notify_all();
-        }
-        for w in self.workers {
-            if w.join().is_err() {
-                self.panicked.store(true, Ordering::SeqCst);
-            }
-        }
-        if self.panicked.load(Ordering::SeqCst) {
-            Err(crate::error::RtError::WorkerPanicked)
+    /// a typed error instead of a harness panic. Workers drain their
+    /// queues before they exit; enqueues after shutdown starts fail with
+    /// [`RtError::ClusterDown`].
+    pub fn shutdown_checked(mut self) -> Result<(), RtError> {
+        if self.stop_and_join() {
+            Err(RtError::WorkerPanicked)
         } else {
             Ok(())
         }
@@ -780,6 +808,62 @@ impl RtCluster {
     /// ergonomics).
     pub fn shutdown(self) {
         self.shutdown_checked().expect("worker panicked");
+    }
+
+    /// Stops the credits controller and every worker and joins them;
+    /// returns whether any thread panicked. Idempotent: a second call
+    /// finds nothing left to join.
+    fn stop_and_join(&mut self) -> bool {
+        if let Some(hub) = &self.credits {
+            // A send error means the controller already exited.
+            let _ = hub.tx.send(CreditMsg::Stop);
+        }
+        if let Some(h) = self.credits_thread.take() {
+            // The catch_unwind wrapper makes join errors impossible in
+            // practice; a failed join still counts as a panic.
+            if h.join().is_err() {
+                self.panicked.store(true, Ordering::SeqCst);
+            }
+        }
+        // Raise every stop flag before waking anyone: global-mode
+        // admission checks the target server's flag under the shared
+        // lock, so all flags must be up before that lock is bracketed.
+        for s in &self.servers {
+            s.stop.store(true, Ordering::SeqCst);
+        }
+        for s in &self.servers {
+            wake_workers(s, self.global.as_deref());
+        }
+        for w in self.workers.drain(..) {
+            if w.join().is_err() {
+                self.panicked.store(true, Ordering::SeqCst);
+            }
+        }
+        self.panicked.load(Ordering::SeqCst)
+    }
+}
+
+impl Drop for RtCluster {
+    /// A cluster dropped without [`RtCluster::shutdown`] still stops and
+    /// joins its threads: clients may outlive it, but its workers don't.
+    fn drop(&mut self) {
+        self.stop_and_join();
+    }
+}
+
+/// Wakes every worker parked on `shared`'s queue (and on the global
+/// queue in global mode) so it re-checks the stop flag. The queue lock
+/// MUST be taken between the caller's store and the notify: a worker
+/// that checked `stop` and is about to park holds it, so locking here
+/// blocks until the worker is actually parked — otherwise the notify can
+/// land in that window and be lost forever (lost-wakeup deadlock; the
+/// stop flag is the one predicate not written under the mutex).
+fn wake_workers(shared: &ServerShared, global: Option<&GlobalShared>) {
+    drop(shared.queue.lock());
+    shared.available.notify_all();
+    if let Some(g) = global {
+        drop(g.queue.lock());
+        g.available.notify_all();
     }
 }
 
@@ -796,113 +880,8 @@ fn send_nack(server_id: u32, req: &RtRequest, reason: DropReason) {
     }));
 }
 
-fn router_loop(
-    server_id: u32,
-    shared: &Arc<ServerShared>,
-    global: Option<&GlobalShared>,
-    rx: &Receiver<RtMessage>,
-    stop_rx: &Receiver<()>,
-    mut congestion: Option<CongestionMonitor>,
-) {
-    loop {
-        crossbeam::channel::select! {
-            recv(rx) -> msg => match msg {
-                Ok(RtMessage::Request(req)) => {
-                    // Bounded admission against the mirror — the same
-                    // length feedback responses piggyback, so admission
-                    // costs no queue lock. Global mode admits against
-                    // the cluster-wide mirror.
-                    let len = match global {
-                        Some(g) => g.queue_len.load(Ordering::Relaxed),
-                        None => shared.queue_len.load(Ordering::Relaxed),
-                    };
-                    if let Some(monitor) = congestion.as_mut() {
-                        monitor.on_arrival(server_id, len);
-                    }
-                    if let Some(bound) = shared.bound {
-                        if let EnqueueOutcome::Dropped(reason) = bound.admit(len) {
-                            match reason {
-                                DropReason::Shed => {
-                                    shared.shed.fetch_add(1, Ordering::Relaxed)
-                                }
-                                DropReason::QueueFull | DropReason::Sojourn => {
-                                    shared.dropped.fetch_add(1, Ordering::Relaxed)
-                                }
-                            };
-                            send_nack(server_id, &req, reason);
-                            continue;
-                        }
-                    }
-                    match global {
-                        None => {
-                            // Increment the mirror *before* the push: a
-                            // worker may pop (and decrement) the instant
-                            // the lock drops, and the counter must never
-                            // underflow.
-                            shared.queue_len.fetch_add(1, Ordering::Relaxed);
-                            let mut q = shared.queue.lock();
-                            let priority = req.priority;
-                            q.pq.push(
-                                priority,
-                                Queued {
-                                    req,
-                                    enqueued: Instant::now(),
-                                },
-                            );
-                            drop(q);
-                            shared.available.notify_one();
-                        }
-                        Some(g) => {
-                            g.queue_len.fetch_add(1, Ordering::Relaxed);
-                            let group = g.ring.group_of_key(req.key);
-                            let priority = req.priority;
-                            let mut q = g.queue.lock();
-                            q.gq.push(
-                                group,
-                                priority,
-                                Queued {
-                                    req,
-                                    enqueued: Instant::now(),
-                                },
-                            );
-                            drop(q);
-                            // notify_all, not notify_one: a single wake
-                            // could land on a worker outside this
-                            // group's replica set, which would re-park
-                            // and strand the request.
-                            g.available.notify_all();
-                        }
-                    }
-                }
-                Ok(RtMessage::Cancel(cancel)) => {
-                    // Purge the still-queued loser of a hedged pair.
-                    // Per-channel FIFO means its request (if any)
-                    // already passed through; a miss just means a
-                    // worker got there first. Hedging never lowers to
-                    // global mode, where a cancel is a no-op.
-                    if global.is_none() {
-                        let mut q = shared.queue.lock();
-                        let removed = q.pq.retain(|queued| {
-                            !(queued.req.task_id == cancel.task_id
-                                && queued.req.req_idx == cancel.req_idx
-                                && queued.req.attempt == cancel.attempt)
-                        });
-                        if removed > 0 {
-                            shared.queue_len.fetch_sub(removed, Ordering::Relaxed);
-                        }
-                    }
-                }
-                Err(_) => break,
-            },
-            recv(stop_rx) -> _ => break,
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
-    server_id: u32,
-    shared: &Arc<ServerShared>,
+    shared: &ServerShared,
     global: Option<&GlobalShared>,
     work: WorkModel,
     noise_seed: u64,
@@ -944,7 +923,7 @@ fn worker_loop(
             Some(g) => {
                 // Work-pulling against the global queue: take the best
                 // request this server's replica constraint allows.
-                let me = ServerId::new(server_id as u64);
+                let me = ServerId::new(shared.id as u64);
                 let mut q = g.queue.lock();
                 loop {
                     if let Some((_, _, queued)) = q.gq.pull_for(me, &g.ring) {
@@ -970,7 +949,7 @@ fn worker_loop(
         };
         for rejected in codel_rejects.drain(..) {
             shared.dropped.fetch_add(1, Ordering::Relaxed);
-            send_nack(server_id, &rejected, DropReason::Sojourn);
+            send_nack(shared.id, &rejected, DropReason::Sojourn);
         }
         let Some(req) = popped else {
             return;
@@ -1023,7 +1002,7 @@ fn worker_loop(
             task_id: req.task_id,
             attempt: req.attempt,
             value,
-            server: server_id,
+            server: shared.id,
             queue_len,
             service_ns,
             total_ns,
@@ -1273,79 +1252,141 @@ mod tests {
 
     /// A cancel for a queued request must remove exactly that attempt
     /// and fix the length mirror; a cancel that matches nothing (wrong
-    /// attempt) must be a no-op.
+    /// attempt) must be a no-op. The server has no workers, so the queue
+    /// holds exactly what the direct enqueues put there.
     #[test]
-    fn router_cancel_dequeues_matching_attempt_only() {
-        use crate::transport::RtCancel;
-        let shared = Arc::new(ServerShared {
-            queue: Mutex::new(ServerQueue {
-                pq: PriorityQueue::new(),
-                codel: None,
-            }),
-            available: Condvar::new(),
-            queue_len: AtomicUsize::new(0),
-            bound: None,
-            epoch: Instant::now(),
-            store: ShardedStore::new(1),
-            stop: AtomicBool::new(false),
-            served: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            busy_ns: AtomicU64::new(0),
-        });
-        let (tx, rx) = unbounded();
-        let (stop_tx, stop_rx) = unbounded::<()>();
-        let router = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || router_loop(0, &shared, None, &rx, &stop_rx, None))
+    fn cancel_dequeues_matching_attempt_only() {
+        let shared = ServerShared::new(0, &RtClusterConfig::default(), None);
+        let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
+        let req = |req_idx: u32, attempt: u32| RtRequest {
+            key: 1,
+            priority: brb_sched::Priority(1),
+            req_idx,
+            task_id: 7,
+            attempt,
+            submitted: Instant::now(),
+            reply: reply_tx.clone(),
         };
-        let (reply_tx, reply_rx) = unbounded();
-        let req = |req_idx: u32, attempt: u32| {
-            RtMessage::Request(RtRequest {
-                key: 1,
-                priority: brb_sched::Priority(1),
-                req_idx,
-                task_id: 7,
-                attempt,
-                submitted: Instant::now(),
-                reply: reply_tx.clone(),
-            })
-        };
-        tx.send(req(0, 0)).unwrap();
-        tx.send(req(1, 0)).unwrap();
+        shared.enqueue(None, req(0, 0)).unwrap();
+        shared.enqueue(None, req(1, 0)).unwrap();
+        assert_eq!(shared.queue_len.load(Ordering::Relaxed), 2);
         // Wrong attempt: must remove nothing.
-        tx.send(RtMessage::Cancel(RtCancel {
-            task_id: 7,
-            req_idx: 0,
-            attempt: 9,
-        }))
-        .unwrap();
+        shared.cancel(7, 0, 9);
+        assert_eq!(shared.queue_len.load(Ordering::Relaxed), 2);
         // Exact match: removes req_idx 0.
-        tx.send(RtMessage::Cancel(RtCancel {
-            task_id: 7,
-            req_idx: 0,
-            attempt: 0,
-        }))
-        .unwrap();
-        let t0 = Instant::now();
-        while shared.queue_len.load(Ordering::Relaxed) != 1 {
-            assert!(
-                t0.elapsed() < std::time::Duration::from_secs(5),
-                "cancel never drained: len {}",
-                shared.queue_len.load(Ordering::Relaxed)
-            );
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        shared.cancel(7, 0, 0);
+        assert_eq!(shared.queue_len.load(Ordering::Relaxed), 1);
         {
             let q = shared.queue.lock();
             assert_eq!(q.pq.len(), 1);
             assert_eq!(q.pq.peek_item().unwrap().req.req_idx, 1);
         }
-        drop(stop_tx);
-        router.join().unwrap();
         // No reply was ever sent for the cancelled request.
         drop(reply_tx);
         assert!(reply_rx.try_recv().is_err());
+    }
+
+    /// Once shutdown has raised the stop flag, an enqueue is refused
+    /// with `ClusterDown` instead of stranding the request in a queue no
+    /// worker will pop — both at the server and through a client that
+    /// outlived its cluster.
+    #[test]
+    fn enqueue_after_shutdown_is_cluster_down() {
+        let c = cluster(PolicyKind::Fifo);
+        c.populate(10, |_| 4);
+        let server = Arc::clone(&c.servers[0]);
+        let client = c.client();
+        c.shutdown();
+        let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
+        let refused = server.enqueue(
+            None,
+            RtRequest {
+                key: 1,
+                priority: brb_sched::Priority(1),
+                req_idx: 0,
+                task_id: 0,
+                attempt: 0,
+                submitted: Instant::now(),
+                reply: reply_tx,
+            },
+        );
+        assert_eq!(refused, Err(RtError::ClusterDown));
+        assert_eq!(server.queue_len.load(Ordering::Relaxed), 0);
+        // The refused request was dropped, not queued: its reply channel
+        // is disconnected.
+        assert!(reply_rx.recv().is_err());
+        let outcome = client.fetch_async(&[1, 2]).wait_outcome();
+        assert_eq!(outcome.err(), Some(RtError::ClusterDown));
+    }
+
+    /// Several client threads enqueue into one bounded server at once
+    /// (a barrier lines them up) while its workers drain it: every
+    /// request is served or NACKed exactly once, so the server's
+    /// counters and the clients' resolutions both conserve.
+    #[test]
+    fn concurrent_enqueues_resolve_exactly_once() {
+        const THREADS: u64 = 4;
+        const TASKS: u64 = 200;
+        let c = Arc::new(RtCluster::start(RtClusterConfig {
+            num_servers: 1,
+            workers_per_server: 2,
+            replication: 1,
+            work: WorkModel::Instant,
+            store_shards: 4,
+            queue: Some(RtQueueConfig {
+                bound: QueueBound {
+                    capacity: 4,
+                    shed_above: None,
+                },
+                codel: None,
+            }),
+            ..Default::default()
+        }));
+        c.populate(64, |_| 8);
+        let barrier = Arc::new(std::sync::Barrier::new(THREADS as usize));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let c = Arc::clone(&c);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let client = c.client();
+                    barrier.wait();
+                    let tickets: Vec<_> = (0..TASKS)
+                        .map(|i| client.fetch_async(&[(t * TASKS + i) % 64]))
+                        .collect();
+                    let mut completed = 0u64;
+                    for ticket in tickets {
+                        match ticket.wait_outcome().expect("live run failed").outcome {
+                            crate::TaskOutcome::Completed(resp) => {
+                                assert!(resp.values[0].is_some());
+                                completed += 1;
+                            }
+                            crate::TaskOutcome::Failed { failure } => {
+                                assert_eq!(failure, crate::TaskFailureKind::Dropped)
+                            }
+                        }
+                    }
+                    completed
+                })
+            })
+            .collect();
+        let completed: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        let served: u64 = c.served_per_server().iter().sum();
+        let dropped: u64 = c.dropped_per_server().iter().sum();
+        assert_eq!(
+            served, completed,
+            "a served request resolved twice or not at all"
+        );
+        assert_eq!(
+            served + dropped,
+            THREADS * TASKS,
+            "a request was lost or doubled"
+        );
+        assert_eq!(c.servers[0].queue_len.load(Ordering::Relaxed), 0);
+        match Arc::try_unwrap(c) {
+            Ok(cluster) => cluster.shutdown(),
+            Err(_) => panic!("sole owner"),
+        }
     }
 
     /// A panicking worker must trip the cluster's sticky panic flag and
@@ -1375,9 +1416,6 @@ mod tests {
         }
         assert!(c.panicked(), "worker panic not observed");
         drop(ticket);
-        assert_eq!(
-            c.shutdown_checked(),
-            Err(crate::error::RtError::WorkerPanicked)
-        );
+        assert_eq!(c.shutdown_checked(), Err(RtError::WorkerPanicked));
     }
 }

@@ -1,47 +1,17 @@
 //! Message types and the in-process transport.
 //!
-//! Requests travel over a per-server channel into the server's priority
-//! queue; replies return over a per-task channel. A reply is either a
-//! served [`RtResponse`] or a typed [`RtNack`] — the overload lane's
-//! drop/shed notice, so a bounded server queue can refuse work without
-//! silently stranding the client. The channel also carries [`RtCancel`]
-//! control messages (the hedging lane's duplicate purge): a cancel
-//! de-queues a still-queued request at the router; a request already in
-//! service completes normally and the client discards the duplicate
-//! reply. Payloads are [`bytes::Bytes`] so values move by reference
-//! count, never by copy.
+//! The client thread enqueues each [`RtRequest`] straight into its
+//! server's priority queue; replies return over a per-task channel. A
+//! reply is either a served [`RtResponse`] or a typed [`RtNack`] — the
+//! overload lane's drop/shed notice, so a bounded server queue can
+//! refuse work without silently stranding the client. Payloads are
+//! [`bytes::Bytes`] so values move by reference count, never by copy.
 
 use brb_sched::overload::DropReason;
 use brb_sched::Priority;
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 use std::time::Instant;
-
-/// What a client sends to a server's router: work, or a retraction of
-/// work it no longer wants.
-#[derive(Debug)]
-pub enum RtMessage {
-    /// A read request to enqueue.
-    Request(RtRequest),
-    /// Retract a specific queued attempt (hedged duplication's
-    /// purge-on-first-win). Races are benign: a cancel for an attempt
-    /// already popped removes nothing, and per-channel FIFO ordering
-    /// guarantees the cancel can never arrive before its request.
-    Cancel(RtCancel),
-}
-
-/// Identifies one dispatched attempt to retract. Matches on the full
-/// `(task_id, req_idx, attempt)` triple so a cancel can never remove a
-/// retry or another task's request by accident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RtCancel {
-    /// Task id of the attempt to retract.
-    pub task_id: u64,
-    /// Task-local request index of the attempt.
-    pub req_idx: u32,
-    /// Attempt number of the attempt.
-    pub attempt: u32,
-}
 
 /// A read request submitted to a server.
 #[derive(Debug)]

@@ -1,5 +1,5 @@
 //! Clean-run check for the debug lock-order detector: a live `RtCluster`
-//! smoke scenario (router + workers + client fetches + shutdown) must
+//! smoke scenario (client enqueues + workers + shutdown) must
 //! complete without tripping a lock-order panic. Because the detector is
 //! global and always-on in debug builds, *every* `brb-rt` test doubles
 //! as a deadlock check — this one pins the representative end-to-end
@@ -26,7 +26,7 @@ fn rt_cluster_smoke_is_lock_order_clean() {
         assert_eq!(resp.values.len(), keys.len());
     }
     // Under debug_assertions the detector would have panicked on any
-    // cyclic acquisition order anywhere in the router/worker/client
+    // cyclic acquisition order anywhere in the admission/worker/client
     // paths; reaching shutdown means the scenario is lock-order clean.
     cluster
         .shutdown_checked()

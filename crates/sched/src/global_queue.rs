@@ -61,7 +61,7 @@ impl<T> GlobalQueue<T> {
     pub fn pull_for(&mut self, server: ServerId, ring: &Ring) -> Option<(Priority, GroupId, T)> {
         // Scan the R groups this server belongs to and take the best head.
         let mut best: Option<(Priority, u64, GroupId)> = None;
-        for g in ring.groups_of_server(server) {
+        for g in ring.iter_groups_of_server(server) {
             let q = &mut self.per_group[g.index()];
             if let Some(p) = q.peek_priority() {
                 // Need the seq for tie-break: peek deeper via a pop/push

@@ -137,7 +137,7 @@ impl<T> PriorityQueue<T> {
     /// Removes every item for which `keep` returns `false`, preserving
     /// the priority/FIFO order of the survivors (their sequence numbers
     /// are untouched). Returns how many items were removed — callers
-    /// that mirror the queue length (the live router's atomic counter)
+    /// that mirror the queue length (the live server's atomic counter)
     /// need the exact count. O(n); used by cold paths only (duplicate
     /// cancellation), never per-request.
     pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) -> usize {

@@ -116,15 +116,21 @@ impl Ring {
     /// The replica groups `server` belongs to (exactly R groups when
     /// `num_partitions >= num_servers`).
     pub fn groups_of_server(&self, server: ServerId) -> Vec<GroupId> {
+        self.iter_groups_of_server(server).collect()
+    }
+
+    /// [`Ring::groups_of_server`] without the allocation, in the same
+    /// order — for per-pull scans on hot paths.
+    pub fn iter_groups_of_server(&self, server: ServerId) -> impl Iterator<Item = GroupId> {
         assert!(
             server.raw() < self.num_servers as u64,
             "server out of range"
         );
         let n = self.num_servers as u64;
+        let num_groups = self.num_groups() as u64;
         (0..self.replication as u64)
-            .map(|i| GroupId::new((server.raw() + n - i) % n))
-            .filter(|g| g.raw() < self.num_groups() as u64)
-            .collect()
+            .map(move |i| GroupId::new((server.raw() + n - i) % n))
+            .filter(move |g| g.raw() < num_groups)
     }
 }
 
