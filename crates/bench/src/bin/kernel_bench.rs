@@ -5,7 +5,7 @@
 //!
 //! * **calendar** — the timer-wheel [`Calendar`] against the reference
 //!   [`HeapCalendar`] on a steady-state 1k-event window with engine-like
-//!   deltas (the `push_pop_1k_window` shape from `benches/micro.rs`).
+//!   deltas.
 //! * **model** — the `brb_sim::dist` fast samplers against the baselines
 //!   they replaced: ziggurat vs. Box–Muller standard normals, ziggurat
 //!   vs. inverse-CDF exponentials, and O(1) alias-table Zipf draws vs.

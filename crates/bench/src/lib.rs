@@ -1,25 +1,22 @@
-//! # brb-bench — the figure/table regeneration harness
+//! # brb-bench — the paper's worked example and the repo's own tools
 //!
-//! One module per paper artifact plus the ablation sweeps DESIGN.md calls
-//! out:
+//! The library holds [`figure1`]: the worked scheduling example
+//! (task-oblivious vs task-aware), rendered as ASCII timelines and
+//! asserted exactly. The binaries are
+//! `cargo run --release -p brb-bench --bin <name>`:
 //!
-//! * [`figure1`] — the worked scheduling example (task-oblivious vs
-//!   task-aware), rendered as ASCII timelines and asserted exactly.
-//! * [`figure2`] — the headline evaluation: five strategies × three
-//!   percentiles, multi-seed averaged, with the paper's two quantitative
-//!   claims checked programmatically.
-//! * [`sweeps`] — load sweep, fan-out sweep, credit-interval sweep and the
-//!   selector × policy ablation matrix.
-//! * [`render`] — fixed-width table rendering shared by the binaries.
+//! * `figure1` prints the example and self-checks it;
+//! * `kernel_bench` times the simulator kernel into `BENCH_kernel.json`;
+//! * `rt_bench` is a coordinated-omission demo on the live runtime;
+//! * `tracegen` writes and summarizes JSONL workload traces;
+//! * `timeline` dumps the simulator's telemetry as per-strategy CSVs.
 //!
-//! Binaries: `figure1`, `figure2`, `sweep_load`, `sweep_fanout`,
-//! `ablation` (see `cargo run --release -p brb-bench --bin ...`).
+//! Experiments live in `brb-lab`: `brb-lab run figure2-small` prints the
+//! figure-2 table, `brb-lab compare figure2-small --baseline C3` scores
+//! each strategy against C3, and the spec files under `specs/` hold the
+//! load, fan-out and selector × policy sweeps. The paper's figure-2
+//! claims are checked by `crates/lab/tests/paper_claims.rs`.
 
 pub mod figure1;
-pub mod figure2;
-pub mod render;
-pub mod sweeps;
 
 pub use figure1::{run_figure1, Figure1Outcome};
-pub use figure2::{check_claims, render_figure2, run_figure2, ClaimCheck, Figure2Options};
-pub use render::Table;

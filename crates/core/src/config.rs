@@ -410,7 +410,8 @@ impl Strategy {
     /// selection and a 5 ms trigger (≈ p99 of healthy response times
     /// under the paper's configuration). Triggers near the median are
     /// unstable: every hedge adds load, which inflates latencies, which
-    /// fires more hedges — we reproduce that runaway in the ablation.
+    /// fires more hedges — the `hedging-runaway` preset reproduces that
+    /// runaway.
     pub fn hedged_default() -> Self {
         Strategy::Hedged {
             selector: SelectorKind::LeastOutstanding,

@@ -31,6 +31,7 @@ use crate::task::TaskBuilder;
 use crate::timeline::{Timeline, TimelineSample};
 use brb_metrics::Histogram;
 use brb_net::{Fabric, FabricPlan, NetNodeId};
+use brb_sched::overload::{may_hedge, may_retry, retry_backoff};
 use brb_sched::{
     CoDel, CreditBucket, CreditController, CreditsConfig, DropReason, EnqueueOutcome, GlobalQueue,
     GrantTable, PolicyKind, Priority, PriorityQueue, QueueBound, RequestQueue,
@@ -49,6 +50,8 @@ use brb_workload::soundcloud::{SoundCloudConfig, SoundCloudModel};
 use brb_workload::taskgen::{TaskGenerator, TaskSpec};
 use brb_workload::PoissonProcess;
 use std::sync::Arc;
+
+pub use brb_sched::overload::TaskFailure;
 
 /// Slab key of a pooled [`InFlight`] record. Calendar events carry this
 /// 4-byte key instead of the record itself, and queues hold keys instead
@@ -272,24 +275,6 @@ pub struct Counters {
     pub tasks_shed: u64,
     /// Tasks terminally failed by timeout (including retries-exhausted).
     pub tasks_timed_out: u64,
-}
-
-/// Typed terminal failure of a task (overload lane). Every task ends in
-/// exactly one of {completed} ∪ these — the conservation invariant
-/// `completed + dropped + shed + timed_out == issued` is test-enforced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskFailure {
-    /// A required request was tail-dropped or AQM-dropped with no retry
-    /// left.
-    Dropped,
-    /// A required request was shed by admission control with no retry
-    /// left.
-    Shed,
-    /// A required attempt timed out with no retries configured.
-    TimedOut,
-    /// A required attempt timed out after its retries (or the client's
-    /// retry budget) ran out.
-    RetriesExhausted,
 }
 
 /// The complete simulation model for one seeded run of one strategy.
@@ -1395,15 +1380,9 @@ impl EngineWorld {
         }
     }
 
-    /// Hedging timer fired: if the request is still pending, re-issue it
-    /// (once) to whichever replica the selector now prefers.
-    ///
-    /// Requests whose *forecast service time* exceeds the trigger are
-    /// never hedged: they are intrinsically expensive, not straggling —
-    /// their duplicate would be just as slow and, under a heavy-tailed
-    /// size distribution, doubling the biggest requests alone can push
-    /// the cluster past saturation (a runaway we reproduce in the
-    /// ablation by disabling this gate via a sub-service-time trigger).
+    /// Hedging timer fired: if the request is still pending and
+    /// [`may_hedge`] allows, re-issue it (once) to whichever replica the
+    /// selector now prefers.
     fn handle_hedge_fire(&mut self, ctx: &mut Ctx<'_, Ev>, id: ReqId) {
         let req = self.requests.get(id).0;
         // The timer's reference is consumed whatever happens next.
@@ -1418,18 +1397,10 @@ impl EngineWorld {
             return; // answered in time — no duplicate needed
         }
         let hedge_ns = self.hedge_ns.expect("hedge timer without hedging");
-        if self.cost.forecast_ns(req.value_bytes as u64) >= hedge_ns {
-            return; // intrinsically slow, not straggling
-        }
-        // Dean & Barroso's safeguard: cap hedges at ~5% of issued traffic.
-        // Without the budget, hedges add load, load adds latency, latency
-        // fires more hedges — the runaway the ablation demonstrates with
-        // an aggressive trigger.
-        {
-            let cs = &self.clients[req.client as usize];
-            if cs.hedged_total * 20 >= cs.dispatched_total {
-                return;
-            }
+        let cs = &self.clients[req.client as usize];
+        let forecast_ns = self.cost.forecast_ns(req.value_bytes as u64);
+        if !may_hedge(forecast_ns, hedge_ns, cs.hedged_total, cs.dispatched_total) {
+            return;
         }
         let now_ns = ctx.now().as_nanos();
         match self.admit(now_ns, req.client, req.group as usize, &req) {
@@ -1481,24 +1452,41 @@ impl EngineWorld {
         ctx.schedule_in(delay, Ev::Nack(id, server, reason));
     }
 
-    /// Whether a failed attempt may be retried: retries are configured,
-    /// the per-request cap has room, and the client-wide retry budget
-    /// (retries as a percentage of originals dispatched) is not spent —
-    /// the budget is what keeps a retry storm from amplifying itself.
-    fn can_retry(&self, req: &InFlight) -> bool {
-        let Some(tc) = self.timeout else {
-            return false;
-        };
-        if req.attempt as u32 >= tc.max_retries {
-            return false;
-        }
-        if let Some(p) = tc.retry_budget_percent {
-            let cs = &self.clients[req.client as usize];
-            if cs.retried_total * 100 >= cs.dispatched_total.max(1) * p as u64 {
-                return false;
+    /// A NACK or timeout ended attempt `id` of `req`: retry it if
+    /// retries are configured and [`may_retry`] allows, otherwise fail
+    /// the task with `failure`. Consumes the attempt's reference.
+    fn retry_or_fail(
+        &mut self,
+        ctx: &mut Ctx<'_, Ev>,
+        id: ReqId,
+        req: InFlight,
+        failure: TaskFailure,
+    ) {
+        let cs = &self.clients[req.client as usize];
+        let retry = self.timeout.is_some_and(|tc| {
+            may_retry(
+                u32::from(req.attempt),
+                tc.max_retries,
+                tc.retry_budget_percent,
+                cs.retried_total,
+                cs.dispatched_total,
+            )
+        });
+        if retry {
+            // The record stays live: a NACKed attempt's timeout timer is
+            // still pending, and a timed-out attempt's response or NACK
+            // has yet to arrive. Superseding keeps either from retrying
+            // again.
+            self.requests.get_mut(id).0.superseded = true;
+            self.deref_req(id);
+            self.issue_retry(ctx, req);
+        } else {
+            self.deref_req(id);
+            self.fail_task(req.task_idx, failure, req.priority);
+            if self.clients[req.client as usize].held > 0 {
+                self.pump(ctx, req.client);
             }
         }
-        true
     }
 
     /// Allocates the next attempt of a logical request and schedules its
@@ -1543,23 +1531,7 @@ impl EngineWorld {
             self.deref_req(id);
             return;
         }
-        if self.can_retry(&req) {
-            // The attempt's timeout timer is still pending (retries
-            // imply a timeout config); it must not retry again.
-            self.requests.get_mut(id).0.superseded = true;
-            self.deref_req(id);
-            self.issue_retry(ctx, req);
-        } else {
-            self.deref_req(id);
-            let failure = match reason {
-                DropReason::QueueFull | DropReason::Sojourn => TaskFailure::Dropped,
-                DropReason::Shed => TaskFailure::Shed,
-            };
-            self.fail_task(req.task_idx, failure, req.priority);
-            if self.clients[req.client as usize].held > 0 {
-                self.pump(ctx, req.client);
-            }
-        }
+        self.retry_or_fail(ctx, id, req, TaskFailure::from_drop(reason));
     }
 
     /// A per-attempt timeout fired. If the attempt is still unanswered
@@ -1577,26 +1549,8 @@ impl EngineWorld {
             return;
         }
         self.counters.timeouts_fired += 1;
-        if self.can_retry(&req) {
-            // The original attempt's chain reference is still live (its
-            // response or NACK has not arrived — the request is not
-            // done), so the record survives this timer's release.
-            self.requests.get_mut(id).0.superseded = true;
-            self.deref_req(id);
-            self.issue_retry(ctx, req);
-        } else {
-            self.deref_req(id);
-            let tc = self.timeout.expect("timeout event without config");
-            let failure = if tc.max_retries == 0 {
-                TaskFailure::TimedOut
-            } else {
-                TaskFailure::RetriesExhausted
-            };
-            self.fail_task(req.task_idx, failure, req.priority);
-            if self.clients[req.client as usize].held > 0 {
-                self.pump(ctx, req.client);
-            }
-        }
+        let tc = self.timeout.expect("timeout event without config");
+        self.retry_or_fail(ctx, id, req, TaskFailure::from_deadline(tc.max_retries));
     }
 
     /// A retry's backoff elapsed: re-enter the client's hold queue and
@@ -1773,19 +1727,10 @@ enum Admission {
     Denied { retry_in_ns: u64 },
 }
 
-/// Capped exponential backoff before retry `attempt` (1-based):
-/// `min(base · 2^(attempt-1), cap)`, in nanoseconds. A zero base means
-/// immediate retry; a zero cap means uncapped.
+/// Backoff before retry `attempt` (1-based), in nanoseconds: the shared
+/// [`retry_backoff`] curve over the config's microsecond base and cap.
 fn retry_backoff_ns(tc: &TimeoutConfig, attempt: u8) -> u64 {
-    if tc.backoff_base_us == 0 {
-        return 0;
-    }
-    let shift = u32::from(attempt).saturating_sub(1).min(32);
-    let mut us = tc.backoff_base_us.saturating_mul(1u64 << shift);
-    if tc.backoff_cap_us > 0 {
-        us = us.min(tc.backoff_cap_us);
-    }
-    us.saturating_mul(1_000)
+    retry_backoff(tc.backoff_base_us, tc.backoff_cap_us, u32::from(attempt)).saturating_mul(1_000)
 }
 
 /// The engine's message classes: every directed hop a message can take
@@ -2105,7 +2050,7 @@ mod tests {
     /// extra load. (A *sustained* bottleneck — e.g. a persistently slow
     /// replica near saturation — is exactly what hedging cannot fix:
     /// duplicates add load precisely where there is no headroom, which
-    /// the aggressive-trigger ablation demonstrates.)
+    /// the `hedging-runaway` preset's aggressive triggers demonstrate.)
     #[test]
     fn hedging_absorbs_transient_latency_spikes() {
         let run_with_spikes = |strategy: Strategy, seed: u64| {
@@ -2290,6 +2235,32 @@ mod tests {
     }
 
     #[test]
+    fn retry_backoff_is_capped_exponential() {
+        let tc = TimeoutConfig {
+            timeout_us: 1_000,
+            max_retries: 16,
+            backoff_base_us: 100,
+            backoff_cap_us: 800,
+            retry_budget_percent: None,
+        };
+        assert_eq!(retry_backoff_ns(&tc, 1), 100_000);
+        assert_eq!(retry_backoff_ns(&tc, 2), 200_000);
+        assert_eq!(retry_backoff_ns(&tc, 4), 800_000);
+        assert_eq!(retry_backoff_ns(&tc, 10), 800_000, "cap must hold");
+        let immediate = TimeoutConfig {
+            backoff_base_us: 0,
+            ..tc
+        };
+        assert_eq!(retry_backoff_ns(&immediate, 3), 0);
+        let uncapped = TimeoutConfig {
+            backoff_cap_us: 0,
+            ..tc
+        };
+        assert_eq!(retry_backoff_ns(&uncapped, 4), 800_000);
+        assert_eq!(retry_backoff_ns(&uncapped, 5), 1_600_000);
+    }
+
+    #[test]
     fn retry_budget_caps_the_storm() {
         let budget = 10u64;
         let ov = OverloadConfig {
@@ -2347,32 +2318,6 @@ mod tests {
             a.world().counters.retries_issued,
             b.world().counters.retries_issued
         );
-    }
-
-    #[test]
-    fn retry_backoff_is_capped_exponential() {
-        let tc = TimeoutConfig {
-            timeout_us: 1_000,
-            max_retries: 16,
-            backoff_base_us: 100,
-            backoff_cap_us: 800,
-            retry_budget_percent: None,
-        };
-        assert_eq!(retry_backoff_ns(&tc, 1), 100_000);
-        assert_eq!(retry_backoff_ns(&tc, 2), 200_000);
-        assert_eq!(retry_backoff_ns(&tc, 4), 800_000);
-        assert_eq!(retry_backoff_ns(&tc, 10), 800_000, "cap must hold");
-        let immediate = TimeoutConfig {
-            backoff_base_us: 0,
-            ..tc
-        };
-        assert_eq!(retry_backoff_ns(&immediate, 3), 0);
-        let uncapped = TimeoutConfig {
-            backoff_cap_us: 0,
-            ..tc
-        };
-        assert_eq!(retry_backoff_ns(&uncapped, 4), 800_000);
-        assert_eq!(retry_backoff_ns(&uncapped, 5), 1_600_000);
     }
 
     /// Past saturation an unbounded queue's peak depth is the excess

@@ -12,9 +12,10 @@
 //! deadline; a timeout or a server NACK triggers a capped-exponential
 //! retry with a *fresh attempt id* (stale replies stay distinguishable)
 //! under a per-client retry budget, and exhaustion resolves the task
-//! into a typed [`TaskOutcome::Failed`] instead of a hang. Semantics —
-//! retry counting, backoff shifts, the budget inequality, late-original
-//! wins — mirror the simulator's engine so sim-vs-rt goodput numbers
+//! into a typed [`TaskOutcome::Failed`] instead of a hang. The backoff
+//! curve, the retry and hedge gates and the failure classification are
+//! the simulator's own (`brb_sched::overload`); retry counting and
+//! late-original wins mirror its engine, so sim-vs-rt goodput numbers
 //! compare like for like.
 //!
 //! The hedging lane (safe duplication): when the cluster carries a
@@ -36,7 +37,7 @@ use crate::error::RtError;
 use crate::server::{GlobalShared, RtTimeoutConfig, ServerShared};
 use crate::timing;
 use crate::transport::{RtNack, RtReply, RtRequest, RtResponse};
-use brb_sched::overload::DropReason;
+use brb_sched::overload::{may_hedge, may_retry, retry_backoff};
 use brb_sched::{PolicyKind, Priority, PriorityPolicy, TaskView};
 use brb_select::{ReplicaSelector, ResponseFeedback, Selection, SelectionCtx};
 use brb_store::cost::CostModel;
@@ -70,22 +71,9 @@ pub struct TaskResponse {
     pub request_ns: Vec<u64>,
 }
 
-/// Why a task failed under the overload lane. Matches the simulator's
-/// terminal `TaskFailure` classification so both backends bucket the
-/// same way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskFailureKind {
-    /// A request was tail-dropped or CoDel-dropped with no retry left.
-    Dropped,
-    /// A request was shed by admission control with no retry left.
-    Shed,
-    /// A request's deadline passed and retries are disabled
-    /// (`max_retries == 0`).
-    TimedOut,
-    /// A request's deadline passed after the last permitted retry (or
-    /// the retry budget ran dry).
-    RetriesExhausted,
-}
+/// Why a task failed under the overload lane: the simulator's own
+/// terminal classification, so both backends bucket the same way.
+pub use brb_sched::overload::TaskFailure as TaskFailureKind;
 
 /// How a task resolved.
 #[derive(Debug)]
@@ -124,20 +112,10 @@ fn feedback_of(resp: &RtResponse, rtt_ns: u64) -> ResponseFeedback {
     }
 }
 
-/// Backoff before retry attempt `attempt` (1-based), the simulator's
-/// curve exactly: base 0 retries immediately; otherwise the base doubles
-/// per retry (shift saturated at 32) under an optional cap (0 = uncapped).
+/// Backoff before retry attempt `attempt` (1-based): the simulator's
+/// [`retry_backoff`] curve over the config's nanosecond base and cap.
 fn backoff_ns(tc: &RtTimeoutConfig, attempt: u32) -> u64 {
-    if tc.backoff_base_ns == 0 {
-        return 0;
-    }
-    let shift = attempt.saturating_sub(1).min(32);
-    let raw = ((tc.backoff_base_ns as u128) << shift).min(u64::MAX as u128) as u64;
-    if tc.backoff_cap_ns > 0 {
-        raw.min(tc.backoff_cap_ns)
-    } else {
-        raw
-    }
+    retry_backoff(tc.backoff_base_ns, tc.backoff_cap_ns, attempt)
 }
 
 /// State shared by a client and its tickets (tickets must redispatch
@@ -217,26 +195,6 @@ impl ClientInner {
                 }
             }
         }
-    }
-
-    /// Whether one more retry fits — the simulator's gate verbatim:
-    /// attempts bounded by `max_retries`, then the per-client budget
-    /// (`retried · 100 ≥ dispatched · percent` means dry).
-    fn can_retry(&self, attempt: u32) -> bool {
-        let Some(tc) = self.timeout else {
-            return false;
-        };
-        if attempt >= tc.max_retries {
-            return false;
-        }
-        if let Some(percent) = tc.retry_budget_percent {
-            let retried = self.retried_total.load(Ordering::Relaxed);
-            let dispatched = self.dispatched_total.load(Ordering::Relaxed).max(1);
-            if retried * 100 >= dispatched * percent as u64 {
-                return false;
-            }
-        }
-        true
     }
 }
 
@@ -561,13 +519,31 @@ impl TaskTicket {
         if !current {
             return Ok(());
         }
-        if self.inner.can_retry(nack.attempt) {
-            self.begin_retry(i, nack.attempt + 1)
+        self.retry_or_fail(i, nack.attempt, TaskFailureKind::from_drop(nack.reason))
+    }
+
+    /// A NACK or deadline ended attempt `attempt` of request `i`: retry
+    /// it if retries are configured and [`may_retry`] allows, otherwise
+    /// settle the slot and fail the task with `failure`.
+    fn retry_or_fail(
+        &mut self,
+        i: usize,
+        attempt: u32,
+        failure: TaskFailureKind,
+    ) -> Result<(), RtError> {
+        let retry = self.inner.timeout.is_some_and(|tc| {
+            may_retry(
+                attempt,
+                tc.max_retries,
+                tc.retry_budget_percent,
+                self.inner.retried_total.load(Ordering::Relaxed),
+                self.inner.dispatched_total.load(Ordering::Relaxed),
+            )
+        });
+        if retry {
+            self.begin_retry(i, attempt + 1)
         } else {
-            self.failure = Some(match nack.reason {
-                DropReason::Shed => TaskFailureKind::Shed,
-                DropReason::QueueFull | DropReason::Sojourn => TaskFailureKind::Dropped,
-            });
+            self.failure = Some(failure);
             self.slots[i] = SlotState::Settled;
             Ok(())
         }
@@ -596,12 +572,9 @@ impl TaskTicket {
     }
 
     /// The hedge timer for request `i` expired with no response yet.
-    /// Duplicate it to a second replica under the sim's gates: skip
-    /// requests *forecast* slower than the delay (their silence is not
-    /// evidence of trouble — Dean & Barroso's "don't hedge the big
-    /// ones"), keep duplicates under the 5% budget, and skip rather
-    /// than block when the selector rate-limits. The timer disarms
-    /// either way: one hedge per request, never re-armed.
+    /// Duplicate it to a second replica if [`may_hedge`] allows, and
+    /// skip rather than block when the selector rate-limits. The timer
+    /// disarms either way: one hedge per request, never re-armed.
     fn fire_hedge(&mut self, i: usize) -> Result<(), RtError> {
         self.hedge_at[i] = None;
         let hedge_ns = self.inner.hedge_ns.expect("hedge fired without config");
@@ -610,12 +583,12 @@ impl TaskTicket {
         }
         let key = self.keys[i];
         let size = self.inner.sizes.size_of(key);
-        if self.inner.cost.forecast_ns(size) >= hedge_ns {
-            return Ok(());
-        }
-        let hedged = self.inner.hedged_total.load(Ordering::Relaxed);
-        let dispatched = self.inner.dispatched_total.load(Ordering::Relaxed);
-        if hedged * 20 >= dispatched {
+        if !may_hedge(
+            self.inner.cost.forecast_ns(size),
+            hedge_ns,
+            self.inner.hedged_total.load(Ordering::Relaxed),
+            self.inner.dispatched_total.load(Ordering::Relaxed),
+        ) {
             return Ok(());
         }
         let ctx = SelectionCtx {
@@ -654,19 +627,7 @@ impl TaskTicket {
 
     fn on_attempt_timeout(&mut self, i: usize, attempt: u32) -> Result<(), RtError> {
         let tc = self.inner.timeout.expect("timeout fired without config");
-        if self.inner.can_retry(attempt) {
-            self.begin_retry(i, attempt + 1)
-        } else {
-            // The sim's terminal classification: a single-attempt config
-            // times out; a retrying config exhausts.
-            self.failure = Some(if tc.max_retries == 0 {
-                TaskFailureKind::TimedOut
-            } else {
-                TaskFailureKind::RetriesExhausted
-            });
-            self.slots[i] = SlotState::Settled;
-            Ok(())
-        }
+        self.retry_or_fail(i, attempt, TaskFailureKind::from_deadline(tc.max_retries))
     }
 
     fn begin_retry(&mut self, i: usize, next_attempt: u32) -> Result<(), RtError> {

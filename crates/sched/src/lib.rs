@@ -22,8 +22,9 @@
 //!   they are allowed to serve (replica constraint), with zero
 //!   coordination cost.
 //! * [`overload`] — the overload lane: bounded queues with typed
-//!   enqueue outcomes, admission-control load shedding, and a
-//!   CoDel-style AQM (sojourn-time target, inverse-sqrt drop cadence).
+//!   enqueue outcomes, admission-control load shedding, a CoDel-style
+//!   AQM (sojourn-time target, inverse-sqrt drop cadence), and the
+//!   client's retry and hedging gates shared by both backends.
 
 pub mod credits;
 pub mod global_queue;
@@ -34,7 +35,9 @@ pub mod queue;
 
 pub use credits::{CreditBucket, CreditController, CreditsConfig, GrantTable};
 pub use global_queue::GlobalQueue;
-pub use overload::{Bounded, CoDel, CoDelConfig, DropReason, EnqueueOutcome, QueueBound};
+pub use overload::{
+    Bounded, CoDel, CoDelConfig, DropReason, EnqueueOutcome, QueueBound, TaskFailure,
+};
 pub use policy::{PolicyKind, PriorityPolicy, TaskView};
 pub use priority::Priority;
 pub use queue::{FifoQueue, PriorityQueue, RequestQueue};

@@ -21,6 +21,11 @@
 //! * [`Bounded`] — a thin wrapper gluing a [`QueueBound`] onto any
 //!   [`RequestQueue`] discipline, for callers that own their queue
 //!   directly.
+//! * The client's retry and hedging policy — [`retry_backoff`],
+//!   [`may_retry`], [`may_hedge`] and the terminal [`TaskFailure`]
+//!   classification — written once for the simulator's engine and the
+//!   live runtime's client, which differ only in the clock that drives
+//!   them.
 //!
 //! Everything here is deterministic and allocation-free: decisions are
 //! pure functions of queue length, virtual time and the controller's
@@ -301,6 +306,89 @@ impl<Q: Default> Bounded<Q> {
     }
 }
 
+/// Typed terminal failure of a task (overload lane). Every task ends in
+/// exactly one of {completed} ∪ these — the conservation invariant
+/// `completed + dropped + shed + timed_out == issued` is test-enforced
+/// on both backends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TaskFailure {
+    /// A required request was tail-dropped or AQM-dropped with no retry
+    /// left.
+    Dropped,
+    /// A required request was shed by admission control with no retry
+    /// left.
+    Shed,
+    /// A required attempt timed out with no retries configured.
+    TimedOut,
+    /// A required attempt timed out after its retries (or the client's
+    /// retry budget) ran out.
+    RetriesExhausted,
+}
+
+impl TaskFailure {
+    /// The failure a drop or shed notice causes when no retry is left.
+    pub fn from_drop(reason: DropReason) -> Self {
+        match reason {
+            DropReason::QueueFull | DropReason::Sojourn => TaskFailure::Dropped,
+            DropReason::Shed => TaskFailure::Shed,
+        }
+    }
+
+    /// The failure a missed deadline causes when no retry is left: a
+    /// single-attempt config times out, a retrying config exhausts.
+    pub fn from_deadline(max_retries: u32) -> Self {
+        if max_retries == 0 {
+            TaskFailure::TimedOut
+        } else {
+            TaskFailure::RetriesExhausted
+        }
+    }
+}
+
+/// Capped exponential backoff before retry `attempt` (1-based):
+/// `min(base · 2^(attempt-1), cap)`, in whatever unit `base` and `cap`
+/// share. A zero base retries immediately; a zero cap means uncapped.
+/// The doubling stops at 2³² and the product saturates at `u64::MAX`.
+pub fn retry_backoff(base: u64, cap: u64, attempt: u32) -> u64 {
+    if base == 0 {
+        return 0;
+    }
+    let shift = attempt.saturating_sub(1).min(32);
+    let backoff = base.saturating_mul(1u64 << shift);
+    if cap > 0 {
+        backoff.min(cap)
+    } else {
+        backoff
+    }
+}
+
+/// Whether the attempt numbered `attempt` (0 = the original) may be
+/// retried: the per-request cap `max_retries` has room, and the
+/// client's retry budget is not spent. The budget is dry once
+/// `retried · 100 ≥ max(dispatched, 1) · percent`; it is what keeps a
+/// retry storm from amplifying itself. `None` means unbudgeted.
+pub fn may_retry(
+    attempt: u32,
+    max_retries: u32,
+    budget_percent: Option<u32>,
+    retried: u64,
+    dispatched: u64,
+) -> bool {
+    attempt < max_retries
+        && budget_percent.is_none_or(|p| retried * 100 < dispatched.max(1) * p as u64)
+}
+
+/// Whether a request still unanswered when its hedge timer (`delay_ns`)
+/// fires may be duplicated. Requests forecast to take at least the
+/// delay are never hedged: they are intrinsically slow, not straggling,
+/// and doubling the biggest requests alone can push the cluster past
+/// saturation. Duplicates are capped at 5% of the client's dispatches
+/// (Dean & Barroso's safeguard): without the budget, hedges add load,
+/// load adds latency and latency fires more hedges.
+pub fn may_hedge(forecast_ns: u64, delay_ns: u64, hedged: u64, dispatched: u64) -> bool {
+    forecast_ns < delay_ns && hedged * 20 < dispatched
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,5 +551,65 @@ mod tests {
             );
         }
         assert!(c.total_dropped() >= before);
+    }
+
+    /// One curve for both backends: the simulator passes µs (and scales
+    /// to ns afterwards), the live runtime passes ns.
+    #[test]
+    fn retry_backoff_is_capped_exponential() {
+        // Simulator case: base 100µs, cap 800µs.
+        assert_eq!(retry_backoff(100, 800, 1), 100);
+        assert_eq!(retry_backoff(100, 800, 2), 200);
+        assert_eq!(retry_backoff(100, 800, 4), 800);
+        assert_eq!(retry_backoff(100, 800, 10), 800, "cap must hold");
+        assert_eq!(retry_backoff(0, 800, 3), 0, "base 0 retries immediately");
+        assert_eq!(retry_backoff(100, 0, 4), 800, "cap 0 = uncapped");
+        assert_eq!(retry_backoff(100, 0, 5), 1_600);
+        // Live case: base 100ns, cap 1000ns.
+        assert_eq!(retry_backoff(100, 1_000, 3), 400);
+        assert_eq!(retry_backoff(100, 1_000, 5), 1_000, "cap binds");
+        assert_eq!(retry_backoff(100, 0, 5), 1_600);
+        assert_eq!(retry_backoff(0, 1_000, 1), 0);
+        // The shift stops at 32 and the product saturates.
+        assert_eq!(retry_backoff(1, 0, 40), 1 << 32);
+        assert_eq!(retry_backoff(u64::MAX / 2, 0, 3), u64::MAX);
+    }
+
+    #[test]
+    fn retry_gate_checks_the_cap_then_the_budget() {
+        assert!(may_retry(0, 1, None, 0, 0));
+        assert!(!may_retry(1, 1, None, 0, 0), "cap reached");
+        assert!(!may_retry(0, 0, None, 0, 0), "retries disabled");
+        // 25% budget: 2 retries over 10 dispatches leave room, 3 of 12
+        // spend it.
+        assert!(may_retry(0, 4, Some(25), 2, 10));
+        assert!(!may_retry(0, 4, Some(25), 3, 12));
+        // No dispatches yet counts as one.
+        assert!(may_retry(0, 4, Some(100), 0, 0));
+        assert!(!may_retry(0, 4, Some(100), 1, 0));
+    }
+
+    #[test]
+    fn hedge_gate_skips_big_requests_and_holds_the_budget() {
+        assert!(may_hedge(100, 1_000, 0, 1));
+        assert!(!may_hedge(1_000, 1_000, 0, 1), "forecast ≥ delay");
+        assert!(may_hedge(100, 1_000, 4, 100));
+        assert!(!may_hedge(100, 1_000, 5, 100), "5% budget spent");
+        assert!(!may_hedge(100, 1_000, 0, 0), "nothing dispatched yet");
+    }
+
+    #[test]
+    fn failures_classify_drops_and_deadlines() {
+        assert_eq!(
+            TaskFailure::from_drop(DropReason::QueueFull),
+            TaskFailure::Dropped
+        );
+        assert_eq!(
+            TaskFailure::from_drop(DropReason::Sojourn),
+            TaskFailure::Dropped
+        );
+        assert_eq!(TaskFailure::from_drop(DropReason::Shed), TaskFailure::Shed);
+        assert_eq!(TaskFailure::from_deadline(0), TaskFailure::TimedOut);
+        assert_eq!(TaskFailure::from_deadline(1), TaskFailure::RetriesExhausted);
     }
 }

@@ -16,8 +16,8 @@
 //!   Each bucket is heapified only when the cursor reaches it, so the
 //!   steady-state cost per event is an O(1) amortized push plus an
 //!   O(log b) pop for small bucket population b — measurably faster than
-//!   a global heap's O(log n) sift over a cache-hostile array (see
-//!   `benches/micro.rs`, `calendar` group).
+//!   a global heap's O(log n) sift over a cache-hostile array (see the
+//!   `calendar` section of `kernel_bench`).
 //! * [`HeapCalendar`] — the original `BinaryHeap` implementation, kept as
 //!   the reference for differential property tests
 //!   (`tests/calendar_props.rs`) and as the benchmark baseline.

@@ -7,7 +7,8 @@
 //! 70% of system capacity.
 //!
 //! The production trace is proprietary, so this crate builds the closest
-//! synthetic equivalent (see `DESIGN.md` §2 for the substitution argument):
+//! synthetic equivalent, matching the fan-out mean, value-size fit and
+//! arrival process the paper publishes:
 //!
 //! * [`pareto::GeneralizedPareto`] — inverse-CDF sampler with the published
 //!   ETC value-size parameters (θ=0, σ=214.476, k=0.348238).

@@ -4,8 +4,9 @@
 //! *BRB: BetteR Batch Scheduling to Reduce Tail Latencies in Cloud Data
 //! Stores* (Reda, Suresh, Canini, Braithwaite — ACM SIGCOMM 2015).
 //!
-//! See the `README.md` for an architecture overview, `DESIGN.md` for the
-//! system inventory and `EXPERIMENTS.md` for paper-vs-measured results.
+//! See the `README.md` for an architecture overview and the per-crate
+//! READMEs for each subsystem's design. The paper's figure-2 claims are
+//! checked against measured runs in `crates/lab/tests/paper_claims.rs`.
 //!
 //! ## Crate map
 //!
